@@ -15,9 +15,13 @@ workloads (see ``BENCHMARK.json`` for why each exists and
 
 Each is a closed loop with one client in one process (for
 ``cli_examples``, the client plus one child at a time), with
-OpenBLAS/OpenMP pinned to one thread. ``--trace 0`` reports the
-end-to-end metrics: ``setup_s`` (process start to first timed op, median
-of several set-ups), ``ops_per_s``, ``op_p50_ms``, ``op_tail_ms`` (the
+OpenBLAS/OpenMP pinned to one thread. A run covers a whole number of
+cycles of the workload's input slots, a number set by ``--seconds`` alone
+(see ``workloads.cycles_for``), so every run measures the same mix and the
+same number of ops.
+
+``--trace 0`` reports the end-to-end metrics: ``setup_s`` (process start
+to first timed op, median of several set-ups), ``ops_per_s``, ``op_p50_ms``, ``op_tail_ms`` (the
 highest percentile with at least ten samples beyond it) and
 ``peak_rss_mb``; failed ops are the ``failed`` count of the result line.
 ``--trace 1`` is a separate run that reports the per-layer metrics (see
@@ -48,7 +52,7 @@ WORKLOADS = ("cli_examples", "exact_routes", "dstable_diffusion", "estimated_lp"
 
 # Extra set-up-only processes per untraced run; setup_s is the median of
 # these and the measured run's own set-up.
-SETUP_PROBES = 4
+SETUP_PROBES = 2
 IMPORT_PROBES = 3
 WORKER_TIMEOUT_S = 150
 PROBE_TIMEOUT_S = 60
@@ -184,12 +188,12 @@ def report(args, record: dict, values: dict, units: dict) -> None:
         print(f"  {name:<48} {values[name]:>14.6g} {unit}")
     if not args.trace:
         lat = record["latency"]
-        print(f"  samples: {lat['samples']} ops; op_tail_ms is p{lat['tail_pct']:.1f} "
+        print(f"  samples: {lat['samples']} ops in {record['cycles']} cycles; op_tail_ms is p{lat['tail_pct']:.1f} "
               f"with {lat['tail_beyond']} ops beyond it")
         print(f"  setup samples (s): {', '.join(f'{s:.4f}' for s in record['setup_samples_s'])}")
     else:
-        print(f"  traced run transparent: {record['transparent']} "
-              f"(outputs of {record['attempted']} ops compared, counters of {record['repeat_ops']} ops repeated)")
+        print(f"  traced run transparent: {record['transparent']} (outputs of {record['attempted']} ops "
+              f"in {record['cycles']} cycles compared; counters repeated on a second traced pass)")
     share = record["failed"] / record["attempted"]
     print(f"  failed_ops: {record['failed']} of {record['attempted']} attempted ({share:.4f})")
     for failure in record["failures"][:5]:

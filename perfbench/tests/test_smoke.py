@@ -2,9 +2,10 @@
 
     python3 -m pytest perfbench/tests -q
 
-Runs every workload for one second, untraced and traced, and checks that
-the result line carries exactly the metrics BENCHMARK.json declares, with
-their units, and that every output oracle passed. Takes about a minute.
+Runs every workload at ``--seconds 1`` (one input cycle each), untraced and
+traced, and checks that the result line carries exactly the metrics
+BENCHMARK.json declares, with their units, and that every output oracle
+passed. Takes about a minute and a half.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@
 ``battery``, ``cli``) wherever a ``logmeasure`` module holds a reference to
 it, plus ``ValidatedNorm.evaluate_many`` on the class, with a wrapper that
 records one span: name, start, end and parent. ``uninstall()`` puts the
-originals back. Because the library calls its own functions through module
-globals, internal calls are traced too; nothing under ``src/`` changes.
+originals back; ``with tracer.installed():`` does both. Because the library
+calls its own functions through module globals, internal calls are traced
+too; nothing under ``src/`` changes.
 
 Spans stay in memory in flat arrays; they are summarised, and written to
 ``perfbench/results/*.spans.npz`` by the worker, only at the end.
@@ -35,6 +36,7 @@ Which end-to-end metric each layer should move, and where:
 
 from __future__ import annotations
 
+import contextlib
 import math
 import statistics
 import sys
@@ -206,6 +208,14 @@ class Tracer:
     def uninstall(self) -> None:
         for holder, name, original, _ in reversed(self._plan):
             setattr(holder, name, original)
+
+    @contextlib.contextmanager
+    def installed(self):
+        self.install()
+        try:
+            yield self
+        finally:
+            self.uninstall()
 
     def _rebinding_plan(self) -> list:
         """(holder, attribute, original, wrapper) for every reference that a

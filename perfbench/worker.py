@@ -3,15 +3,18 @@
 Started by ``run.py`` with BLAS/OpenMP pinned to one thread and ``src/``
 on ``PYTHONPATH``; prints one JSON record as its last line of stdout.
 
-Untraced (``--trace 0``): ops run back to back until ``--seconds`` have
-passed; their outputs are checked afterwards, outside the timed phase.
+Untraced (``--trace 0``): every op of the workload's whole cycles (see
+``workloads.cycles_for``) runs back to back; their outputs are checked
+afterwards, outside the timed phase.
 
-Traced (``--trace 1``): set-up runs under a tracer. Then, for about
-``--seconds`` in all, every op runs twice in a row, untraced and traced; the two
-outputs must be equal, and the ops-per-second of the two sides give the
-tracing overhead. Finally the first ops run traced once more, and their
-counters must equal those the main traced pass had at that point.
-Per-layer metrics come from set-up plus the main traced pass.
+Traced (``--trace 1``): set-up runs under a tracer. The traced pass covers a
+third of those cycles (at least one), since each op runs three times: first
+untraced and traced in a row, whose outputs must be equal and whose
+ops-per-second give the tracing overhead; then the whole pass once more
+under a second tracer, whose counters must equal the first one's. Per-layer
+metrics come from set-up plus the first traced pass. Neither pass stops on
+the clock, so with the same seed and ``--seconds`` the counters are the
+same from run to run.
 """
 
 from __future__ import annotations
@@ -26,16 +29,12 @@ import sys
 import time
 
 
-def timed_loop(fns, *, seconds=None, first=0, count=None, tracer=None):
-    """Run fns[first], fns[first+1], ... (wrapping) one after another until
-    `seconds` have passed or `count` ops ran; return latencies, results and
-    the elapsed wall time of the whole loop."""
+def timed_loop(fns, tracer=None):
+    """Run each of fns once, in order; return latencies, results and the
+    elapsed wall time of the whole loop."""
     latencies, results = [], []
     begin = time.perf_counter()
-    deadline = begin + seconds if seconds is not None else None
-    i = first
-    while count is None or len(results) < count:
-        run = fns[i % len(fns)]
+    for run in fns:
         span = tracer.open("bench.op") if tracer is not None else None
         t0 = time.perf_counter()
         try:
@@ -47,16 +46,12 @@ def timed_loop(fns, *, seconds=None, first=0, count=None, tracer=None):
             tracer.close(span)
         latencies.append(t1 - t0)
         results.append(res)
-        i += 1
-        if deadline is not None and t1 >= deadline:
-            break
     return latencies, results, time.perf_counter() - begin
 
 
 def check_all(ops, results) -> list:
     failures = []
-    for i, res in enumerate(results):
-        op = ops[i % len(ops)]
+    for i, (op, res) in enumerate(zip(ops, results)):
         if "error" in res:
             problems = [res["error"]]
         else:
@@ -81,13 +76,6 @@ def latency_stats(latencies) -> dict:
     return {"samples": n, "p50_ms": statistics.median(ms), "tail_ms": tail, "tail_pct": pct, "tail_beyond": beyond}
 
 
-def slot_stats(ops, latencies) -> dict:
-    by_slot: dict = {}
-    for i, lat in enumerate(latencies):
-        by_slot.setdefault(ops[i % len(ops)].slot, []).append(lat * 1e3)
-    return {slot: {"ops": len(v), "p50_ms": statistics.median(v)} for slot, v in sorted(by_slot.items())}
-
-
 def environment() -> dict:
     import numpy
     import scipy
@@ -99,7 +87,6 @@ def environment() -> dict:
         "scipy": scipy.__version__,
         "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
         "nproc": os.cpu_count(),
-        "cpus_usable": len(os.sched_getaffinity(0)),
         "threads": {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
     }
 
@@ -109,8 +96,8 @@ def peak_rss_mb(children: bool) -> float:
     return resource.getrusage(who).ru_maxrss / 1024.0
 
 
-def untraced(wl, seconds: float) -> dict:
-    latencies, results, elapsed = timed_loop([op.run for op in wl.ops], seconds=seconds)
+def untraced(wl) -> dict:
+    latencies, results, elapsed = timed_loop([op.run for op in wl.ops])
     rss = peak_rss_mb(wl.rss_from_children)
     failures = check_all(wl.ops, results)
     return {
@@ -119,53 +106,37 @@ def untraced(wl, seconds: float) -> dict:
         "failures": failures[:20],
         "elapsed_s": elapsed,
         "ops_per_s": len(results) / elapsed,
+        "cycles": len(wl.ops) // wl.cycle,
         "latency": latency_stats(latencies),
-        "slots": slot_stats(wl.ops, latencies),
         "peak_rss_mb": rss,
     }
 
 
-def traced(wl, seconds: float, setup_tracer, spans_path: str | None) -> dict:
+def traced(wl, setup_tracer, spans_path: str | None) -> dict:
     import tracer as tracing
 
-    fns = [op.run_inproc or op.run for op in wl.ops]
-    tr = tracing.Tracer()
+    ops = wl.ops[: max(1, len(wl.ops) // wl.cycle // 3) * wl.cycle]
+    fns = [op.run_inproc or op.run for op in ops]
+    tr, again = tracing.Tracer(), tracing.Tracer()
     plain, traced_results, lat_plain, lat_traced = [], [], [], []
-    snapshot = None
-    deadline = time.perf_counter() + seconds
-    while True:
+    for fn in fns:
         # Each op runs untraced, then traced, so warm-up and drift hit both
         # sides of the overhead comparison alike.
-        i = len(plain)
-        lat, res, _ = timed_loop(fns, first=i, count=1)
+        lat, res, _ = timed_loop([fn])
         lat_plain += lat
         plain += res
-        tr.install()
-        try:
-            lat, res, _ = timed_loop(fns, first=i, count=1, tracer=tr)
-        finally:
-            tr.uninstall()
+        with tr.installed():
+            lat, res, _ = timed_loop([fn], tracer=tr)
         lat_traced += lat
         traced_results += res
-        if len(plain) == wl.repeat_ops:
-            snapshot = tracing.repeatable_counts(tracing.layer_metrics([tr]))
-        if time.perf_counter() >= deadline:
-            break
-    k = len(plain)
-    if snapshot is None:
-        snapshot = tracing.repeatable_counts(tracing.layer_metrics([tr]))
-    m = min(k, wl.repeat_ops)
-
-    again = tracing.Tracer()
-    again.install()
-    try:
-        timed_loop(fns, count=m, tracer=again)
-    finally:
-        again.uninstall()
+    with again.installed():
+        timed_loop(fns, tracer=again)
+    k = len(fns)
+    first = tracing.repeatable_counts(tracing.layer_metrics([tr]))
     repeat = tracing.repeatable_counts(tracing.layer_metrics([again]))
 
     mismatched = [i for i, (a, b) in enumerate(zip(plain, traced_results)) if a != b]
-    unrepeated = sorted(name for name in snapshot if snapshot[name] != repeat.get(name))
+    unrepeated = sorted(name for name in first if first[name] != repeat[name])
     metrics = tracing.layer_metrics([setup_tracer, tr])
     for sub in tracing.CLI_SUBCOMMANDS:
         sizes = [len(r["stdout"].encode()) for r in traced_results if r.get("argv0") == sub]
@@ -178,12 +149,12 @@ def traced(wl, seconds: float, setup_tracer, spans_path: str | None) -> dict:
     if spans_path is not None:
         write_spans(spans_path, {"setup": setup_tracer, "traced": tr})
 
-    failures = check_all(wl.ops, plain)
+    failures = check_all(ops, plain)
     return {
         "attempted": k,
         "failed": len(failures),
         "failures": failures[:20],
-        "repeat_ops": m,
+        "cycles": k // wl.cycle,
         "transparency_mismatches": mismatched[:20],
         "counts_not_repeated": unrepeated,
         "transparent": not mismatched and not unrepeated,
@@ -223,20 +194,18 @@ def main(argv=None) -> int:
         import tracer as tracing
 
         setup_tracer = tracing.Tracer()
-        setup_tracer.install()
-    try:
+        with setup_tracer.installed():
+            wl = workloads.build(args.workload, args.seed, args.seconds, args.scratch)
+    else:
         wl = workloads.build(args.workload, args.seed, args.seconds, args.scratch)
-    finally:
-        if setup_tracer is not None:
-            setup_tracer.uninstall()
     ready = time.monotonic()
     if args.setup_only:
         record = {}
     elif args.trace:
-        record = traced(wl, args.seconds, setup_tracer, args.spans)
+        record = traced(wl, setup_tracer, args.spans)
         record["environment"] = environment()
     else:
-        record = untraced(wl, args.seconds)
+        record = untraced(wl)
         record["environment"] = environment()
     record["ready"] = ready
     sys.stdout.write(json.dumps(record) + "\n")

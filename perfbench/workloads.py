@@ -5,10 +5,13 @@ the previous one returns. Inputs come only from the seed. Each op is an
 ``Op`` with ``run()`` (the timed calls into the public API, returning a
 plain record) and ``check(record)`` (route-independent oracles, run after
 the timed phase; it returns a list of problems, empty when the output is
-correct). Input slots follow a fixed schedule, so every seed exercises the
-same mix of norm families, dimensions and verdict classes; the seed only
-draws the numbers. Each op gets fresh inputs, so no (norm, matrix) pair
-repeats within a run unless the run outlasts the pre-generated list.
+correct).
+
+Each workload has a fixed cycle of input slots, weighted evenly: every slot
+runs once per cycle, and a run covers a whole number of cycles. So every run
+and every seed measures the same mix of norm families, dimensions and
+verdict classes, and the same number of ops; the seed only draws the
+numbers, fresh for each op.
 """
 
 from __future__ import annotations
@@ -43,11 +46,26 @@ class Op:
 
 @dataclass
 class Workload:
+    # whole cycles: ops[k * cycle:(k + 1) * cycle] is cycle k
     ops: list
-    # ops replayed to check that traced counts repeat exactly
-    repeat_ops: int
+    # slots per cycle
+    cycle: int
     # peak memory is the largest child process, not this one
     rss_from_children: bool = False
+
+
+# Whole cycles per second of --seconds. The count depends only on
+# --seconds, never on the clock, so every run with the same --seconds does
+# the same work. One cycle costs about 10, 0.9, 2.2 and 6 s on a 2-vCPU
+# x86-64 host with one BLAS thread; at --seconds 20 a run takes 15-45 s, and
+# every workload but the CLI (whose ops all cost about the same) has at
+# least 60 ops, so its tail percentile lies above p80. estimated_lp gets the
+# most cycles because its op costs spread the most.
+CYCLES_PER_S = {"cli_examples": 0.1, "exact_routes": 0.8, "dstable_diffusion": 0.4, "estimated_lp": 0.35}
+
+
+def cycles_for(name: str, seconds: float) -> int:
+    return max(1, round(seconds * CYCLES_PER_S[name]))
 
 
 def _seed_of(rng: np.random.Generator) -> int:
@@ -222,14 +240,14 @@ def _check_exact(norm, r, known, A: np.ndarray, res: dict) -> list:
     return _problems(checks)
 
 
-def build_exact_routes(seed: int, seconds: float) -> Workload:
+def build_exact_routes(seed: int, cycles: int) -> Workload:
     rng = np.random.default_rng([seed, 1])
     pool = [
         (slot, lm.validate_norm_spec(spec, dim=n), n, r, known, sweep)
         for slot, spec, n, r, known, sweep in _exact_norm_pool(rng)
     ]
     ops = []
-    for i in range(int(80 * seconds) + len(pool)):
+    for i in range(cycles * len(pool)):
         slot, norm, n, r, known, sweep = pool[i % len(pool)]
         A = rng.standard_normal((n, n))
         s = _seed_of(rng)
@@ -240,7 +258,7 @@ def build_exact_routes(seed: int, seconds: float) -> Workload:
                 check=lambda res, norm=norm, r=r, known=known, A=A: _check_exact(norm, r, known, A, res),
             )
         )
-    return Workload(ops, repeat_ops=len(pool))
+    return Workload(ops, cycle=len(pool))
 
 
 # ------------------------------------------------------------------ dstable_diffusion
@@ -292,17 +310,14 @@ def _undecided(rng, n: int) -> np.ndarray:
     return P @ A @ P.T
 
 
-# (label, generator, verdicts that are correct for it). Two certified kinds
-# (fast), falsifiable twice (middle) and undecided once (slowest), so the
-# median op sits inside the falsifiable group and the tail inside the
-# undecided one rather than on a boundary between groups. "unknown" is a
-# correct answer except where l_1 or l_2, the first family members, certify.
-_DSTABLE_KINDS = (
-    ("certified_dominant", _certified_dominant, {"stable"}),
-    ("falsifiable", _falsifiable, {"unstable", "unknown"}),
-    ("undecided", _undecided, {"stable", "unknown"}),
-    ("certified_skew", _certified_skew, {"stable"}),
-    ("falsifiable", _falsifiable, {"unstable", "unknown"}),
+# The three verdict classes, in equal shares: (generators, verdicts that are
+# correct for the class). Certified matrices alternate between the two
+# constructions cycle by cycle. "unknown" is a correct answer except where
+# l_1 or l_2, the first family members, certify.
+_DSTABLE_CLASSES = (
+    ((_certified_dominant, _certified_skew), {"stable"}),
+    ((_falsifiable,), {"unstable", "unknown"}),
+    ((_undecided,), {"stable", "unknown"}),
 )
 
 
@@ -373,43 +388,34 @@ def _check_dstable(A, x0, z0, allowed, res: dict) -> list:
     return _problems(checks)
 
 
-def build_dstable_diffusion(seed: int, seconds: float) -> Workload:
+def build_dstable_diffusion(seed: int, cycles: int) -> Workload:
     rng = np.random.default_rng([seed, 2])
-    slots = [(kind, n) for n in (3, 4, 5) for kind in _DSTABLE_KINDS]
+    slots = [(cls, n) for n in (3, 4, 5) for cls in _DSTABLE_CLASSES]
     ops = []
-    for i in range(int(40 * seconds) + len(slots)):
-        (label, make, allowed), n = slots[i % len(slots)]
+    for i in range(cycles * len(slots)):
+        (makers, allowed), n = slots[i % len(slots)]
+        make = makers[i // len(slots) % len(makers)]
         A = make(rng, n)
         x0, z0 = rng.standard_normal(n), rng.standard_normal(n)
         s = _seed_of(rng)
         ops.append(
             Op(
-                f"{label}.{n}d",
+                f"{make.__name__.lstrip('_')}.{n}d",
                 run=lambda A=A, x0=x0, z0=z0, s=s: _dstable_op(A, x0, z0, s),
                 check=lambda res, A=A, x0=x0, z0=z0, ok=allowed: _check_dstable(A, x0, z0, ok, res),
             )
         )
-    return Workload(ops, repeat_ops=len(slots))
+    return Workload(ops, cycle=len(slots))
 
 
 # ------------------------------------------------------------------ estimated_lp
 
-# Nine of sixteen slots are diagonal (exact value known, cost nearly fixed
-# by n and p); four of those are the costliest diagonal kind, 3-D with
-# p = 1.5, so the median op falls inside that one homogeneous group rather
-# than between groups. The seven general slots carry the cost spread and
-# the tail; 3-D general inputs (1-3 s each) take one of them.
-_EST_GENERAL = (
-    (2, 1.5, "plain"), (2, 3.0, "scaled"), (2, 3.0, "plain"), (2, 4.0, "scaled"),
-    (3, 3.0, "plain"), (2, 4.0, "plain"), (2, 1.5, "scaled"),
-)
-_EST_DIAGONAL = (
-    (3, 1.5, "diag"), (2, 4.0, "diag"), (3, 1.5, "diag"), (3, 4.0, "diag"), (3, 1.5, "diag"),
-    (2, 3.0, "diag"), (3, 3.0, "diag"), (3, 1.5, "diag"), (2, 1.5, "diag"),
-)
-_EST_SLOTS = tuple(
-    slot for pair in itertools.zip_longest(_EST_DIAGONAL, _EST_GENERAL) for slot in pair if slot is not None
-)
+# Every p under three kinds of input, once each per cycle: a 3-D diagonal
+# matrix under Lp(p) (exact value known), and a general 2-D matrix under
+# Lp(p) and under Scaled(T, Lp(p)). General 3-D inputs (1-5 s per op) are
+# left out: with them a run of a few tens of seconds holds too few ops for a
+# steady median and tail.
+_EST_SLOTS = tuple((3 if kind == "diag" else 2, p, kind) for p in (1.5, 3.0, 4.0) for kind in ("diag", "plain", "scaled"))
 
 
 def _estimated_op(A, norm, seed: int) -> dict:
@@ -441,10 +447,10 @@ def _check_estimated(A, p: float, F: np.ndarray, diagonal: bool, res: dict) -> l
     return _problems(checks)
 
 
-def build_estimated_lp(seed: int, seconds: float) -> Workload:
+def build_estimated_lp(seed: int, cycles: int) -> Workload:
     rng = np.random.default_rng([seed, 3])
     ops = []
-    for i in range(int(10 * seconds) + len(_EST_SLOTS)):
+    for i in range(cycles * len(_EST_SLOTS)):
         n, p, kind = _EST_SLOTS[i % len(_EST_SLOTS)]
         A = np.diag(rng.uniform(-2.0, 2.0, n)) if kind == "diag" else rng.uniform(-2.0, 2.0, (n, n))
         F = _mixing(rng, n) if kind == "scaled" else np.eye(n)
@@ -458,7 +464,7 @@ def build_estimated_lp(seed: int, seconds: float) -> Workload:
                 check=lambda res, A=A, p=p, F=F, k=kind: _check_estimated(A, p, F, k == "diag", res),
             )
         )
-    return Workload(ops, repeat_ops=3)
+    return Workload(ops, cycle=len(_EST_SLOTS))
 
 
 # ------------------------------------------------------------------ cli_examples
@@ -615,13 +621,13 @@ def _cli_inproc(argv, out_path) -> dict:
     return {"argv0": argv[0], "code": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "file": _read_out(out_path)}
 
 
-def build_cli_examples(seed: int, seconds: float, scratch_dir: str) -> Workload:
+def build_cli_examples(seed: int, cycles: int, scratch_dir: str) -> Workload:
     importlib.import_module("logmeasure.cli")
     rng = np.random.default_rng([seed, 4])
     env = {k: v for k, v in os.environ.items() if k != "LOGMEASURE_SEED"}
     refs = _cli_refs()
     ops = []
-    for i in range(int(4 * seconds) + len(CLI_CASES)):
+    for i in range(cycles * len(CLI_CASES)):
         case = CLI_CASES[i % len(CLI_CASES)]
         out_path = os.path.join(scratch_dir, "trajectory.csv") if case[2] == "csv" else None
         argv = _cli_argv(case, _seed_of(rng), out_path)
@@ -633,17 +639,16 @@ def build_cli_examples(seed: int, seconds: float, scratch_dir: str) -> Workload:
                 run_inproc=lambda argv=argv, out_path=out_path: _cli_inproc(argv, out_path),
             )
         )
-    return Workload(ops, repeat_ops=len(CLI_CASES), rss_from_children=True)
+    return Workload(ops, cycle=len(CLI_CASES), rss_from_children=True)
 
 
 def build(name: str, seed: int, seconds: float, scratch_dir: str) -> Workload:
+    cycles = cycles_for(name, seconds)
     if name == "cli_examples":
-        return build_cli_examples(seed, seconds, scratch_dir)
+        return build_cli_examples(seed, cycles, scratch_dir)
     builders = {
         "exact_routes": build_exact_routes,
         "dstable_diffusion": build_dstable_diffusion,
         "estimated_lp": build_estimated_lp,
     }
-    if name not in builders:
-        raise ValueError(f"unknown workload {name!r}")
-    return builders[name](seed, seconds)
+    return builders[name](seed, cycles)
