@@ -22,7 +22,8 @@ same number of ops.
 
 ``--trace 0`` reports the end-to-end metrics: ``setup_s`` (process start
 to first timed op, median of several set-ups), ``ops_per_s``, ``op_p50_ms``, ``op_tail_ms`` (the
-highest percentile with at least ten samples beyond it) and
+highest percentile with at least ten samples beyond it; both percentiles are
+Harrell-Davis estimates, see ``worker.harrell_davis``) and
 ``peak_rss_mb``; failed ops are the ``failed`` count of the result line.
 ``--trace 1`` is a separate run that reports the per-layer metrics (see
 ``perfbench/tracer.py``) and import times from ``python -X importtime``.

@@ -7,11 +7,11 @@ plain record) and ``check(record)`` (route-independent oracles, run after
 the timed phase; it returns a list of problems, empty when the output is
 correct).
 
-Each workload has a fixed cycle of input slots, weighted evenly: every slot
-runs once per cycle, and a run covers a whole number of cycles. So every run
-and every seed measures the same mix of norm families, dimensions and
-verdict classes, and the same number of ops; the seed only draws the
-numbers, fresh for each op.
+Each workload has a fixed cycle of input slots: every slot runs once per
+cycle (slots are weighted evenly except in estimated_lp, see ``_est_cycle``),
+and a run covers a whole number of cycles. So every run and every seed
+measures the same mix of norm families, dimensions and verdict classes, and
+the same number of ops; the seed only draws the numbers, fresh for each op.
 """
 
 from __future__ import annotations
@@ -57,11 +57,12 @@ class Workload:
 # Whole cycles per second of --seconds. The count depends only on
 # --seconds, never on the clock, so every run with the same --seconds does
 # the same work. One cycle costs about 10, 0.9, 2.2 and 6 s on a 2-vCPU
-# x86-64 host with one BLAS thread; at --seconds 20 a run takes 15-45 s, and
+# x86-64 host with one BLAS thread; at --seconds 20 a run takes 15-50 s, and
 # every workload but the CLI (whose ops all cost about the same) has at
-# least 60 ops, so its tail percentile lies above p80. estimated_lp gets the
-# most cycles because its op costs spread the most.
-CYCLES_PER_S = {"cli_examples": 0.1, "exact_routes": 0.8, "dstable_diffusion": 0.4, "estimated_lp": 0.35}
+# least 49 ops, so its tail percentile lies above p75. The run time left
+# within the benchmark's time budget goes to estimated_lp and
+# dstable_diffusion, whose op costs spread the most.
+CYCLES_PER_S = {"cli_examples": 0.1, "exact_routes": 0.8, "dstable_diffusion": 0.6, "estimated_lp": 0.35}
 
 
 def cycles_for(name: str, seconds: float) -> int:
@@ -410,12 +411,21 @@ def build_dstable_diffusion(seed: int, cycles: int) -> Workload:
 
 # ------------------------------------------------------------------ estimated_lp
 
-# Every p under three kinds of input, once each per cycle: a 3-D diagonal
-# matrix under Lp(p) (exact value known), and a general 2-D matrix under
-# Lp(p) and under Scaled(T, Lp(p)). General 3-D inputs (1-5 s per op) are
-# left out: with them a run of a few tens of seconds holds too few ops for a
-# steady median and tail.
-_EST_SLOTS = tuple((3 if kind == "diag" else 2, p, kind) for p in (1.5, 3.0, 4.0) for kind in ("diag", "plain", "scaled"))
+# Each cycle runs every p on a general 2-D matrix under Lp(p) and under
+# Scaled(T, Lp(p)), plus one 3-D diagonal matrix under Lp(p) (exact value
+# known), its p taking turns cycle by cycle: 2/7 of the ops per p are
+# general and 1/7 of all ops diagonal. A diagonal op costs a third of a
+# general one; with a diagonal op per p in every cycle (1/3 of the ops) the
+# median would fall on the sparse lower flank of the general ops' costs and
+# move by up to a third between seeds. General 3-D inputs (1-5 s per op)
+# are left out: with them a run of a few tens of seconds holds too few ops
+# for a steady median and tail.
+_EST_PS = (1.5, 3.0, 4.0)
+
+
+def _est_cycle(k: int) -> list:
+    general = [(2, p, kind) for p in _EST_PS for kind in ("plain", "scaled")]
+    return general + [(3, _EST_PS[k % len(_EST_PS)], "diag")]
 
 
 def _estimated_op(A, norm, seed: int) -> dict:
@@ -450,8 +460,7 @@ def _check_estimated(A, p: float, F: np.ndarray, diagonal: bool, res: dict) -> l
 def build_estimated_lp(seed: int, cycles: int) -> Workload:
     rng = np.random.default_rng([seed, 3])
     ops = []
-    for i in range(cycles * len(_EST_SLOTS)):
-        n, p, kind = _EST_SLOTS[i % len(_EST_SLOTS)]
+    for n, p, kind in (slot for k in range(cycles) for slot in _est_cycle(k)):
         A = np.diag(rng.uniform(-2.0, 2.0, n)) if kind == "diag" else rng.uniform(-2.0, 2.0, (n, n))
         F = _mixing(rng, n) if kind == "scaled" else np.eye(n)
         spec = lm.Scaled(F, lm.Lp(p)) if kind == "scaled" else lm.Lp(p)
@@ -464,7 +473,7 @@ def build_estimated_lp(seed: int, cycles: int) -> Workload:
                 check=lambda res, A=A, p=p, F=F, k=kind: _check_estimated(A, p, F, k == "diag", res),
             )
         )
-    return Workload(ops, cycle=len(_EST_SLOTS))
+    return Workload(ops, cycle=len(_est_cycle(0)))
 
 
 # ------------------------------------------------------------------ cli_examples
