@@ -192,16 +192,6 @@ def _dump_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, default=_np_default) + "\n"
 
 
-def _verdict_line(name: str, v) -> str:
-    mark = "yes" if v.holds else "no"
-    if not v.exact:
-        mark += " (sampled)"
-    out = f"{name}: {mark}"
-    if v.witness is not None:
-        out += f", witness {np.asarray(v.witness).tolist()}"
-    return out
-
-
 # ---------------------------------------------------------------- measure
 
 

@@ -11,12 +11,14 @@ module's analysis feeds this one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .common import as_square_matrix, as_vector, diag_entries
 from .errors import (
+    BadTimeGrid,
     BaseNotHurwitz,
     InconsistentOracles,
     NotNonnegativeDiagonal,
@@ -26,6 +28,10 @@ from .stability import HURWITZ_TOL, is_hurwitz
 
 DIVERGENCE_CUTOFF = 1e6
 STEP_NORM_BOUND = 0.1
+
+# simulate refuses, before allocating, a grid whose (steps + 1) x 2n state
+# array would hold more values than this (80 MB of float64).
+MAX_STATE_VALUES = 10_000_000
 
 
 @dataclass
@@ -93,12 +99,13 @@ def sync_verdict(A, D, tol: float = HURWITZ_TOL) -> bool:
 def simulate(A, D, x0, z0, horizon: float, dt: float) -> Trajectory:
     """Integrate the coupled pair with fixed-step classical RK4.
 
-    dt must not exceed the horizon and must satisfy
-    dt * ||block||_inf <= 0.1; integration stops early (diverged=True)
-    once any state entry passes the overflow cutoff.
+    horizon and dt must be positive and finite, dt must not exceed the
+    horizon and must satisfy dt * ||block||_inf <= 0.1, and the grid may
+    store at most MAX_STATE_VALUES state values; integration stops early
+    (diverged=True) once any state entry passes the overflow cutoff.
     """
-    if dt <= 0.0 or horizon <= 0.0:
-        raise ValueError("horizon and dt must be positive")
+    if not (math.isfinite(horizon) and math.isfinite(dt)) or dt <= 0.0 or horizon <= 0.0:
+        raise BadTimeGrid(f"horizon and dt must be positive and finite, got {horizon!r} and {dt!r}")
     system = build_coupled(A, D)
     n = system.A.shape[0]
     x0 = as_vector(x0, n)
@@ -110,23 +117,29 @@ def simulate(A, D, x0, z0, horizon: float, dt: float) -> Trajectory:
     if dt * bnorm > STEP_NORM_BOUND + 1e-12:
         limit = STEP_NORM_BOUND / bnorm if bnorm > 0 else np.inf
         raise StepTooLarge(f"dt * ||block||_inf = {dt * bnorm:.3g} > 0.1; need dt <= {limit:.3g}")
-
-    steps = int(np.ceil(horizon / dt - 1e-9))
+    # horizon / dt may overflow to inf, so it is clipped before rounding
+    steps = math.ceil(min(horizon / dt - 1e-9, MAX_STATE_VALUES))
+    if (steps + 1) * 2 * n > MAX_STATE_VALUES:
+        raise BadTimeGrid(
+            f"horizon / dt = {horizon / dt:.3g} steps of {2 * n} values exceed the cap of "
+            f"{MAX_STATE_VALUES} stored state values"
+        )
+    times = np.arange(steps + 1) * dt
+    states = np.empty((steps + 1, 2 * n))
+    sync = np.empty(steps + 1)
     y = np.concatenate([x0, z0])
-    times = [0.0]
-    states = [y.copy()]
-    sync = [float(np.linalg.norm(x0 - z0))]
-    diverged = False
-    for k in range(steps):
+    states[0] = y
+    sync[0] = np.linalg.norm(x0 - z0)
+    half, sixth = 0.5 * dt, dt / 6.0
+    for k in range(1, steps + 1):
         k1 = B @ y
-        k2 = B @ (y + 0.5 * dt * k1)
-        k3 = B @ (y + 0.5 * dt * k2)
+        k2 = B @ (y + half * k1)
+        k3 = B @ (y + half * k2)
         k4 = B @ (y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        times.append((k + 1) * dt)
-        states.append(y.copy())
-        sync.append(float(np.linalg.norm(y[:n] - y[n:])))
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[k] = y
+        sync[k] = np.linalg.norm(y[:n] - y[n:])
         if np.abs(y).max() > DIVERGENCE_CUTOFF:
-            diverged = True
-            break
-    return Trajectory(np.asarray(times), np.vstack(states), np.asarray(sync), diverged)
+            m = k + 1
+            return Trajectory(times[:m].copy(), states[:m].copy(), sync[:m].copy(), True)
+    return Trajectory(times, states, sync)

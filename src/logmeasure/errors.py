@@ -70,6 +70,11 @@ class StepTooLarge(LogMeasureError):
     """Integrator step violates dt * ||block||_inf <= 0.1 or exceeds the horizon."""
 
 
+class BadTimeGrid(LogMeasureError, ValueError):
+    """Horizon or dt is not a positive finite number, or the time grid would
+    store more state values than the integrator's cap."""
+
+
 class BaseNotHurwitz(LogMeasureError):
     """Synchronization verdict requested for a non-Hurwitz base matrix."""
 

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .common import as_rng, as_square_matrix
 from .errors import (
@@ -79,14 +78,25 @@ def _closed_norm(A: np.ndarray, p: float) -> float:
         raise EigenFailure(f"SVD failed: {exc}") from exc
 
 
-def _closed_mu(A: np.ndarray, p: float) -> float:
-    d = np.diag(A)
+def _closed_mu_many(S: np.ndarray, norm: ValidatedNorm) -> np.ndarray:
+    """Closed-form measure of one matrix, or of each matrix in a (k, n, n)
+    stack, under a norm on the closed or scaled_closed route.
+
+    A stack goes through the same numpy calls, matrix by matrix, as a
+    single matrix does, so every entry is bit-identical to a one-by-one
+    evaluation.
+    """
+    p = norm.p
+    if norm.route == "scaled_closed":
+        S = norm.flat_T @ S @ norm.flat_Tinv
+        p = norm.core_p
+    d = np.diagonal(S, axis1=-2, axis2=-1)
     if p == 1:
-        return float((d + np.abs(A).sum(axis=0) - np.abs(d)).max())
+        return (d + np.abs(S).sum(axis=-2) - np.abs(d)).max(axis=-1)
     if p == math.inf:
-        return float((d + np.abs(A).sum(axis=1) - np.abs(d)).max())
+        return (d + np.abs(S).sum(axis=-1) - np.abs(d)).max(axis=-1)
     try:
-        return float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1])
+        return np.linalg.eigvalsh(0.5 * (S + S.swapaxes(-1, -2)))[..., -1]
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigenFailure(f"symmetric eigensolver failed: {exc}") from exc
 
@@ -149,6 +159,10 @@ def estimate_induced_norm(
     spread of the converged starts plus the termination tolerance, a
     heuristic gap indicator rather than a rigorous bracket.
     """
+    # scipy.optimize costs most of the package's import time, and only this
+    # route needs it
+    from scipy.optimize import minimize
+
     A = _bind_matrix(A, norm)
     n = A.shape[0]
     rng = as_rng(seed)
@@ -217,11 +231,9 @@ def matrix_measure(
     """Matrix measure (logarithmic norm) of A under the vector norm."""
     A = _bind_matrix(A, norm)
     route = norm.route
-    if route == "closed":
-        return MeasureResult(_closed_mu(A, norm.p), "closed_form")
-    if route == "scaled_closed":
-        M = norm.flat_T @ A @ norm.flat_Tinv
-        return MeasureResult(_closed_mu(M, norm.core_p), "scaled_closed_form")
+    if route in ("closed", "scaled_closed"):
+        method = "closed_form" if route == "closed" else "scaled_closed_form"
+        return MeasureResult(float(_closed_mu_many(A, norm)), method)
     if route == "polyhedral":
         return _poly_measure(A, norm)
     return _estimated_measure(A, norm, seed)

@@ -17,19 +17,23 @@ agreement, cross-orthant midpoint convexity, symmetry), so their acceptance
 is probabilistic: a spec that passes is a norm with high confidence, and the
 exact polytope reconstruction in dimensions <= 3 re-checks the geometry.
 
-All functions are pure; ValidatedNorm instances are immutable after
-construction and safe to share across threads.
+All functions are pure. A ValidatedNorm is not immutable: ``ball_vertices``
+of a bare l_1 / l_inf spec is a cache filled on first access. Threads that
+race on that first access each compute an equal array and one of them is
+kept, so sharing an instance is harmless, but the object does change.
+
+scipy.spatial (Qhull) is imported where hulls are built, so importing the
+package does not load it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Union
 
 import numpy as np
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .common import DEFAULT_SEED, TOL_VERTEX, as_rng, as_vector
 from .errors import (
@@ -107,6 +111,8 @@ def _extreme_points(V: np.ndarray) -> np.ndarray:
         a = float(np.max(V[:, 0]))
         b = float(np.min(V[:, 0]))
         return np.array([[b], [a]])
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         hull = ConvexHull(V)
     except QhullError as exc:
@@ -142,6 +148,8 @@ class _PolytopeGauge:
             if np.min(np.diff(self.angles, append=self.angles[0] + 2 * np.pi)) <= 0:
                 raise DegenerateBall("two extreme points on a common ray")
             return
+        from scipy.spatial import ConvexHull
+
         hull = ConvexHull(vertices)
         eq = hull.equations
         offsets = -eq[:, -1]
@@ -360,12 +368,7 @@ def _validate_scaled(spec: Scaled, dim: int | None, seed, samples) -> ValidatedN
     inner = validate_norm_spec(spec.inner, dim=n, seed=seed, samples=samples)
     # Collapse chains of scalings: |x| = inner(T x) with inner itself scaled
     # by S around a core means core norm evaluated at (S_flat T) x.
-    if inner.flat_T is not None:
-        flat_T = inner.flat_T @ T
-    elif inner.kind == "lp":
-        flat_T = T
-    else:
-        flat_T = T
+    flat_T = T if inner.flat_T is None else inner.flat_T @ T
     core = inner
     while core.kind == "scaled":
         core = core.inner
@@ -472,6 +475,8 @@ def _piecewise_sampled_checks(
 def _piecewise_ball_vertices(cases: dict[str, ValidatedNorm], n: int) -> np.ndarray | None:
     if n > MAX_PIECEWISE_VERTEX_DIM:
         return None
+    from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
+
     pieces = []
     for signs, inner in cases.items():
         Vin = inner.ball_vertices
@@ -580,7 +585,8 @@ def norm_spec_from_json(obj) -> NormSpec:
         p = obj.get("p")
         if p == "inf":
             p = math.inf
-        if not isinstance(p, (int, float)):
+        # bool is an int subclass; "p": true must not read as p = 1
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
             raise ValidationError(f"lp spec needs numeric p or 'inf', got {p!r}")
         return Lp(float(p))
     if kind == "scaled":

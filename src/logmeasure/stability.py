@@ -27,6 +27,7 @@ import numpy as np
 from .classify import Verdict, is_orthant_monotonic
 from .common import DEFAULT_SEED, as_rng, as_square_matrix, diag_entries
 from .errors import (
+    EigenFailure,
     InconsistentOracles,
     Marginal,
     NoExactPath,
@@ -35,7 +36,7 @@ from .errors import (
     NotOrthantMonotonic,
     WrongDimension,
 )
-from .measures import matrix_measure, spectral_abscissa
+from .measures import _closed_mu_many, matrix_measure, spectral_abscissa
 from .norms import Lp, Scaled, ValidatedNorm, validate_norm_spec
 
 ADMISSIBILITY_TOL = 1e-9
@@ -53,6 +54,23 @@ def is_hurwitz(A, tol: float = HURWITZ_TOL) -> bool:
     if abs(s) <= tol:
         raise Marginal(f"spectral abscissa {s:.3e} within {tol:g} of zero")
     return s < 0.0
+
+
+def _abscissa_many(A: np.ndarray, d_rows: np.ndarray) -> np.ndarray:
+    """spectral_abscissa(A - diag(d)) for every row d of d_rows.
+
+    One stacked eigvals call; LAPACK sees the same matrices one by one as
+    in single calls, so each entry is bit-identical to spectral_abscissa.
+    """
+    n = A.shape[0]
+    idx = np.arange(n)
+    B = np.repeat(A[None, :, :], d_rows.shape[0], axis=0)
+    B[:, idx, idx] -= d_rows
+    try:
+        lam = np.linalg.eigvals(B)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(f"eigenvalue computation failed: {exc}") from exc
+    return lam.real.max(axis=1)
 
 
 def _sample_nonneg_diagonals(n: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -125,21 +143,7 @@ def is_admissible_measure(
     n = norm.dim
     rng = as_rng(seed)
     diags = _sample_nonneg_diagonals(n, budget, rng)
-    eye = np.eye(n)
-
-    c2_w = c3_w = c4_w = None
-    checks = 0
-    for d in diags:
-        D = np.diag(d)
-        checks += 1
-        if c2_w is None and matrix_measure(-D, norm).value > ADMISSIBILITY_TOL:
-            c2_w = D
-        if c3_w is None and abs(matrix_measure(D, norm).value - d.max()) > ADMISSIBILITY_TOL:
-            c3_w = D
-        if c4_w is None and matrix_measure(-eye - D, norm).value >= -ADMISSIBILITY_TOL:
-            c4_w = D
-        if c2_w is not None and c3_w is not None and c4_w is not None:
-            break
+    c2_w, c3_w, c4_w, checks = _diagonal_sweep(norm, diags)
 
     for name, w in zip(numeric_names, (c2_w, c3_w, c4_w)):
         trace[name] = Verdict(w is None, w is not None, w, checks)
@@ -177,6 +181,55 @@ def is_admissible_measure(
             "norm classified not orthant-monotonic but no diagonal counterexample exists"
         )
     return AdmissibilityVerdict(True, om.exact, None, trace)
+
+
+def _diagonal_sweep(norm: ValidatedNorm, diags: list[np.ndarray]):
+    """First sampled violator of mu(-D) <= 0, mu(D) = max d_ii and
+    mu(-I-D) < 0 (None where the condition held throughout), plus how many
+    samples were checked.
+
+    Closed and scaled_closed norms score every sample in three stacked
+    closed-form calls and read the witnesses and the count off the first
+    violating indices, which is exactly where the one-by-one loop stops.
+    Polyhedral and piecewise norms keep that loop with its early exit:
+    scoring every sample up front would slow inadmissible polytopes, whose
+    loop usually stops after a few samples.
+    """
+    n = norm.dim
+    eye = np.eye(n)
+    if norm.route in ("closed", "scaled_closed"):
+        d = np.array(diags)
+        D = d[:, :, None] * eye
+        try:
+            neg, pos, margin = [_closed_mu_many(S, norm) for S in (-D, D, -eye - D)]
+        except EigenFailure:
+            neg = None
+        # On a failed or non-finite stacked value, fall through to the loop:
+        # it raises at the first sample a one-by-one sweep would fail on.
+        if neg is not None and np.isfinite([neg, pos, margin]).all():
+            bad = (
+                neg > ADMISSIBILITY_TOL,
+                np.abs(pos - d.max(axis=1)) > ADMISSIBILITY_TOL,
+                margin >= -ADMISSIBILITY_TOL,
+            )
+            first = [int(np.argmax(b)) if b.any() else None for b in bad]
+            checks = len(diags) if None in first else max(first) + 1
+            return (*(None if i is None else np.diag(d[i]) for i in first), checks)
+
+    c2_w = c3_w = c4_w = None
+    checks = 0
+    for d in diags:
+        D = np.diag(d)
+        checks += 1
+        if c2_w is None and matrix_measure(-D, norm).value > ADMISSIBILITY_TOL:
+            c2_w = D
+        if c3_w is None and abs(matrix_measure(D, norm).value - d.max()) > ADMISSIBILITY_TOL:
+            c3_w = D
+        if c4_w is None and matrix_measure(-eye - D, norm).value >= -ADMISSIBILITY_TOL:
+            c4_w = D
+        if c2_w is not None and c3_w is not None and c4_w is not None:
+            break
+    return c2_w, c3_w, c4_w, checks
 
 
 def measure_of_diagonal(
@@ -381,21 +434,32 @@ def falsify_additive_d_stability(
 
     Multi-start coordinate pattern search on [0, d_max]^n with
     d_max = 10 (1 + ||A||_inf); structured starts (origin, single-axis and
-    all-but-one-axis corners, full corner) come before random ones. The
-    first D crossing the threshold is returned; None means the budget ran
-    out, which proves nothing.
+    all-but-one-axis corners, full corner) come before random ones. Each
+    sweep tries the moves d_i +/- step in the order (0, +), (0, -), (1, +),
+    ... and takes the first one that raises the abscissa. The first D
+    crossing the threshold is returned; None means `budget` abscissa
+    evaluations ran out, which proves nothing.
+
+    The moves are scored speculatively: all moves left in the sweep are
+    built from the current d and scored in one stacked eigvals call, then
+    walked in sweep order. At the first accepted move the rest of the batch
+    is dropped and a new batch is built from the new d. Only the probes
+    walked count against `budget`, so the search path, the result and the
+    budget mean what they would for one evaluation at a time.
     """
-    A = as_square_matrix(A)
+    return _pattern_search(as_square_matrix(A), budget, as_rng(seed))[0]
+
+
+def _pattern_search(
+    A: np.ndarray, budget: int, rng: np.random.Generator
+) -> tuple[np.ndarray | None, int]:
+    """falsify_additive_d_stability's search: (D or None, probes used)."""
     n = A.shape[0]
     d_max = 10.0 * (1.0 + float(np.abs(A).sum(axis=1).max()))
-    rng = as_rng(seed)
-
+    # move j of a sweep sets d[coord[j]] += sign[j] * step, clipped to [0, d_max]
+    coord = np.repeat(np.arange(n), 2)
+    sign = np.tile([1.0, -1.0], n)
     evals = 0
-
-    def abscissa_at(d: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        return spectral_abscissa(A - np.diag(d))
 
     def structured_starts():
         yield np.zeros(n)
@@ -413,30 +477,40 @@ def falsify_additive_d_stability(
 
     for start in structured_starts():
         if evals >= budget:
-            return None
+            return None, evals
         d = start.copy()
-        best = abscissa_at(d)
+        best = _abscissa_many(A, d[None, :])[0]
+        evals += 1
         if best > FALSIFY_THRESHOLD:
-            return np.diag(d)
+            return np.diag(d), evals
         step = d_max / 4.0
         while step > d_max * 1e-6 and evals < budget:
             improved = False
-            for i in range(n):
-                for sgn in (1.0, -1.0):
-                    trial = d.copy()
-                    trial[i] = min(max(d[i] + sgn * step, 0.0), d_max)
-                    if trial[i] == d[i]:
-                        continue
-                    if evals >= budget:
-                        return None
-                    a = abscissa_at(trial)
-                    if a > FALSIFY_THRESHOLD:
-                        return np.diag(trial)
-                    if a > best + 1e-12:
-                        best, d, improved = a, trial, True
+            pos = 0
+            while pos < 2 * n:
+                target = np.minimum(np.maximum(d[coord[pos:]] + sign[pos:] * step, 0.0), d_max)
+                live = pos + (target != d[coord[pos:]]).nonzero()[0]
+                if not live.size:
+                    break
+                if evals >= budget:
+                    return None, evals
+                live = live[: budget - evals]
+                batch = np.repeat(d[None, :], live.size, axis=0)
+                batch[np.arange(live.size), coord[live]] = target[live - pos]
+                scores = _abscissa_many(A, batch)
+                # a probe stops the walk when it crosses the threshold or improves
+                hits = (scores > min(FALSIFY_THRESHOLD, best + 1e-12)).nonzero()[0]
+                if not hits.size:
+                    evals += live.size
+                    break
+                j = int(hits[0])
+                evals += j + 1
+                if scores[j] > FALSIFY_THRESHOLD:
+                    return np.diag(batch[j]), evals
+                best, d, improved, pos = scores[j], batch[j], True, int(live[j]) + 1
             if not improved:
                 step /= 2.0
-    return None
+    return None, evals
 
 
 def falsify_on_grid(
@@ -461,11 +535,7 @@ def falsify_on_grid(
     if extra:
         pts = np.vstack([pts, rng.uniform(0.0, d_max, (extra, n))])
 
-    idx = np.arange(n)
-    B = np.broadcast_to(A, (pts.shape[0], n, n)).copy()
-    B[:, idx, idx] -= pts
-    s = np.linalg.eigvals(B).real.max(axis=1)
-    hits = np.nonzero(s > FALSIFY_THRESHOLD)[0]
+    hits = np.nonzero(_abscissa_many(A, pts) > FALSIFY_THRESHOLD)[0]
     if hits.size:
         return np.diag(pts[hits[0]])
     return None

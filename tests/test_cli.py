@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, output determinism, channel layout."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import logmeasure
 from logmeasure.cli import main
 
 UNKNOWN_3X3 = [[0.0, -1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, -1.0]]
@@ -236,6 +241,35 @@ def test_data_errors_exit_65(capsys, tmp_path):
         "bad_norm.json",
     )
     assert main(["measure", "--in", bad_norm]) == 65
+
+
+def test_hostile_values_exit_65_without_traceback(capsys, tmp_path):
+    bool_p = _write_doc(
+        tmp_path,
+        {"op": "measure", "matrix": [[1.0]], "norm": {"kind": "lp", "p": True}},
+        "bool_p.json",
+    )
+    code, out, err = _run(capsys, "measure", "--in", bool_p)
+    assert (code, out) == (65, "")
+    assert "Traceback" not in err
+
+    doc = {"matrix": [[-1.0, 0.0], [0.0, -1.0]], "D": [1.0, 1.0], "x0": [1.0, 0.0], "z0": [0.0, 1.0]}
+    for horizon, dt in (("inf", 0.01), (30.0, "nan"), (1e12, 0.01)):
+        path = _write_doc(tmp_path, {**doc, "horizon": horizon, "dt": dt}, "grid.json")
+        code, out, err = _run(capsys, "diffusion", "--in", path)
+        assert (code, out) == (65, "")
+        assert "BadTimeGrid" in err
+
+
+def test_import_loads_neither_scipy_optimize_nor_spatial():
+    src = str(Path(logmeasure.__file__).resolve().parents[1])
+    probe = (
+        "import sys, logmeasure; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------- seeds

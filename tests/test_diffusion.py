@@ -1,11 +1,15 @@
 """Two-cell diffusive coupling: block assembly, the synchrony test, RK4."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from logmeasure import (
+    BadTimeGrid,
     BaseNotHurwitz,
     FRAGILE_MATRIX,
     Marginal,
@@ -142,6 +146,35 @@ def test_step_size_guards():
         simulate(FRAGILE_MATRIX, np.eye(2), [1.0, 0.0], [0.0, 1.0], horizon=10.0, dt=0.0)
     with pytest.raises(ValueError):
         simulate(FRAGILE_MATRIX, np.eye(2), [1.0, 0.0], [0.0, 1.0], horizon=-1.0, dt=0.01)
+
+
+@pytest.mark.parametrize(
+    "horizon, dt", [(math.inf, 0.01), (math.nan, 0.01), (30.0, math.nan), (30.0, math.inf)]
+)
+def test_non_finite_time_grid_is_refused(horizon, dt):
+    with pytest.raises(BadTimeGrid):
+        simulate(FRAGILE_MATRIX, np.eye(2), [1.0, 0.0], [0.0, 1.0], horizon=horizon, dt=dt)
+
+
+def test_state_cap_refuses_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadTimeGrid):
+            simulate(FRAGILE_MATRIX, np.eye(2), [1.0, 0.0], [0.0, 1.0], horizon=1e12, dt=0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_state_cap_boundary(monkeypatch):
+    # 3000 steps of the 2 x 2 pair store 3001 rows of 4 values
+    args = (FRAGILE_MATRIX, np.eye(2), [1.0, 0.0], [0.0, 1.0])
+    monkeypatch.setattr("logmeasure.diffusion.MAX_STATE_VALUES", 3001 * 4)
+    assert simulate(*args, horizon=30.0, dt=0.01).states.shape == (3001, 4)
+    monkeypatch.setattr("logmeasure.diffusion.MAX_STATE_VALUES", 3001 * 4 - 1)
+    with pytest.raises(BadTimeGrid):
+        simulate(*args, horizon=30.0, dt=0.01)
 
 
 def test_integrator_matches_exponential():

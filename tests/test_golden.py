@@ -1,0 +1,140 @@
+"""CLI output pinned byte for byte.
+
+Every shipped example x output format x seed runs in process; the sha256
+of its exit code, stdout and stderr must match the digest recorded before
+the stacked eigen/measure kernels replaced the per-candidate loops. A
+digest that moves means some result changed in its last bits.
+
+The digests were recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (DYNAMIC_ARCH,
+x86-64 Haswell kernels). Another BLAS build or kernel may round differently;
+re-record them from an unchanged checkout when the numeric stack changes.
+"""
+
+import hashlib
+
+import pytest
+
+from logmeasure.cli import _example_documents, main
+
+FORMATS = {
+    "measure": ("json", "text"),
+    "classify": ("json", "text"),
+    "dstable": ("json", "text"),
+    "diffusion": ("json", "csv", "text"),
+    "battery": ("json", "csv", "text"),
+}
+SEEDS = (None, 0, 5)
+
+GOLDEN = {
+    "battery/-/csv/0": "af65c0a618c7283fe98a93c45853762d72e55d866973c8ef2ceb5c1a14d79c95",
+    "battery/-/csv/5": "af65c0a618c7283fe98a93c45853762d72e55d866973c8ef2ceb5c1a14d79c95",
+    "battery/-/csv/default": "af65c0a618c7283fe98a93c45853762d72e55d866973c8ef2ceb5c1a14d79c95",
+    "battery/-/json/0": "2d493bf999777d44d14f61ffa257ce1ae76968416acfb0d274b72f4b410bfcb7",
+    "battery/-/json/5": "2d493bf999777d44d14f61ffa257ce1ae76968416acfb0d274b72f4b410bfcb7",
+    "battery/-/json/default": "2d493bf999777d44d14f61ffa257ce1ae76968416acfb0d274b72f4b410bfcb7",
+    "battery/-/text/0": "64f8df2407effd7295b3644cdacd0fc43ca2cc3d4b973e9d422f919af33b6311",
+    "battery/-/text/5": "64f8df2407effd7295b3644cdacd0fc43ca2cc3d4b973e9d422f919af33b6311",
+    "battery/-/text/default": "64f8df2407effd7295b3644cdacd0fc43ca2cc3d4b973e9d422f919af33b6311",
+    "classify/hexagon/json/0": "de50fedc67b28925c1669bc955a59236b67ba478564457e94839d42b0653da49",
+    "classify/hexagon/json/5": "de50fedc67b28925c1669bc955a59236b67ba478564457e94839d42b0653da49",
+    "classify/hexagon/json/default": "de50fedc67b28925c1669bc955a59236b67ba478564457e94839d42b0653da49",
+    "classify/hexagon/text/0": "e87b45da169209740c23a96a1bb7a7b26f3199b6252427a3633720a466998aff",
+    "classify/hexagon/text/5": "e87b45da169209740c23a96a1bb7a7b26f3199b6252427a3633720a466998aff",
+    "classify/hexagon/text/default": "e87b45da169209740c23a96a1bb7a7b26f3199b6252427a3633720a466998aff",
+    "classify/parallelogram/json/0": "f316829b25dceb0254b0b44136024972e8bb36c2207ff77bd90cb37647f49782",
+    "classify/parallelogram/json/5": "f316829b25dceb0254b0b44136024972e8bb36c2207ff77bd90cb37647f49782",
+    "classify/parallelogram/json/default": "f316829b25dceb0254b0b44136024972e8bb36c2207ff77bd90cb37647f49782",
+    "classify/parallelogram/text/0": "8e505edec8f3402444982b0b948fbcb3e1361c96ab36d425e7d5dffbb8a1d0c9",
+    "classify/parallelogram/text/5": "8e505edec8f3402444982b0b948fbcb3e1361c96ab36d425e7d5dffbb8a1d0c9",
+    "classify/parallelogram/text/default": "8e505edec8f3402444982b0b948fbcb3e1361c96ab36d425e7d5dffbb8a1d0c9",
+    "classify/sheared_linf/json/0": "84ee3494ae9fcbfc95ffe77ade23e66b3839a991fc7ab2c202c5e88e214cc99d",
+    "classify/sheared_linf/json/5": "84ee3494ae9fcbfc95ffe77ade23e66b3839a991fc7ab2c202c5e88e214cc99d",
+    "classify/sheared_linf/json/default": "84ee3494ae9fcbfc95ffe77ade23e66b3839a991fc7ab2c202c5e88e214cc99d",
+    "classify/sheared_linf/text/0": "1a37023afdf846c7701492a68de86ac754b83e2ac1e9ad4879fd1a23b23f6176",
+    "classify/sheared_linf/text/5": "1a37023afdf846c7701492a68de86ac754b83e2ac1e9ad4879fd1a23b23f6176",
+    "classify/sheared_linf/text/default": "1a37023afdf846c7701492a68de86ac754b83e2ac1e9ad4879fd1a23b23f6176",
+    "diffusion/fragile/csv/0": "6e28bb1bdd97192c4043b162de1090ec31788e94730e3933a2d5ad0d993ef6cd",
+    "diffusion/fragile/csv/5": "6e28bb1bdd97192c4043b162de1090ec31788e94730e3933a2d5ad0d993ef6cd",
+    "diffusion/fragile/csv/default": "6e28bb1bdd97192c4043b162de1090ec31788e94730e3933a2d5ad0d993ef6cd",
+    "diffusion/fragile/json/0": "51ffb6cb0ff867bc1152fd1814a08aa877b61a26105335aa9bee7f8b1948f0f7",
+    "diffusion/fragile/json/5": "51ffb6cb0ff867bc1152fd1814a08aa877b61a26105335aa9bee7f8b1948f0f7",
+    "diffusion/fragile/json/default": "51ffb6cb0ff867bc1152fd1814a08aa877b61a26105335aa9bee7f8b1948f0f7",
+    "diffusion/fragile/text/0": "c4bc7158b3b43e27d3b890f50cd307c8ba06c9c91326105922669709504c01b7",
+    "diffusion/fragile/text/5": "c4bc7158b3b43e27d3b890f50cd307c8ba06c9c91326105922669709504c01b7",
+    "diffusion/fragile/text/default": "c4bc7158b3b43e27d3b890f50cd307c8ba06c9c91326105922669709504c01b7",
+    "dstable/fragile/json/0": "532f82367c4716cc71e52158504643557daef2a2cc1454659f7cc1f173882c44",
+    "dstable/fragile/json/5": "532f82367c4716cc71e52158504643557daef2a2cc1454659f7cc1f173882c44",
+    "dstable/fragile/json/default": "532f82367c4716cc71e52158504643557daef2a2cc1454659f7cc1f173882c44",
+    "dstable/fragile/text/0": "d59f088375ad6d52d09f90b0118a788acabf145cf3adc658129b282fd2288246",
+    "dstable/fragile/text/5": "d59f088375ad6d52d09f90b0118a788acabf145cf3adc658129b282fd2288246",
+    "dstable/fragile/text/default": "d59f088375ad6d52d09f90b0118a788acabf145cf3adc658129b282fd2288246",
+    "measure/fragile/json/0": "721053484f5e5f6b7a18f6d31930891c681e398a4f20ad0b3d2990e98d251a68",
+    "measure/fragile/json/5": "721053484f5e5f6b7a18f6d31930891c681e398a4f20ad0b3d2990e98d251a68",
+    "measure/fragile/json/default": "721053484f5e5f6b7a18f6d31930891c681e398a4f20ad0b3d2990e98d251a68",
+    "measure/fragile/text/0": "f015c46187040931f8962bf6f9af0fb7a2ea81a33eb2d3abc576c590fbcfa18c",
+    "measure/fragile/text/5": "f015c46187040931f8962bf6f9af0fb7a2ea81a33eb2d3abc576c590fbcfa18c",
+    "measure/fragile/text/default": "f015c46187040931f8962bf6f9af0fb7a2ea81a33eb2d3abc576c590fbcfa18c",
+    "measure/hexagon/json/0": "f5777e558da7d2d08808a74557c509439e612e48d6987d571d02e8cee19ae247",
+    "measure/hexagon/json/5": "f5777e558da7d2d08808a74557c509439e612e48d6987d571d02e8cee19ae247",
+    "measure/hexagon/json/default": "f5777e558da7d2d08808a74557c509439e612e48d6987d571d02e8cee19ae247",
+    "measure/hexagon/text/0": "847f3983bc182c078cbeb0828ba693db90be0d9c569905aa8c8405035ea83770",
+    "measure/hexagon/text/5": "847f3983bc182c078cbeb0828ba693db90be0d9c569905aa8c8405035ea83770",
+    "measure/hexagon/text/default": "847f3983bc182c078cbeb0828ba693db90be0d9c569905aa8c8405035ea83770",
+    "measure/parallelogram/json/0": "b6bfac4b6fbff7018141d12ae74c0dde24c55f0f9c2413d2281ec5ddfed5607e",
+    "measure/parallelogram/json/5": "b6bfac4b6fbff7018141d12ae74c0dde24c55f0f9c2413d2281ec5ddfed5607e",
+    "measure/parallelogram/json/default": "b6bfac4b6fbff7018141d12ae74c0dde24c55f0f9c2413d2281ec5ddfed5607e",
+    "measure/parallelogram/text/0": "21b26314297e121970bc3cdcaecb026b7b9fd4b92ee7b1563bacd3ec8e5cfc12",
+    "measure/parallelogram/text/5": "21b26314297e121970bc3cdcaecb026b7b9fd4b92ee7b1563bacd3ec8e5cfc12",
+    "measure/parallelogram/text/default": "21b26314297e121970bc3cdcaecb026b7b9fd4b92ee7b1563bacd3ec8e5cfc12",
+    "measure/sheared_linf/json/0": "a6515344723903b63aa91fc9de788d071cc79d5e6ba55b12b8c11192d7d6feed",
+    "measure/sheared_linf/json/5": "a6515344723903b63aa91fc9de788d071cc79d5e6ba55b12b8c11192d7d6feed",
+    "measure/sheared_linf/json/default": "a6515344723903b63aa91fc9de788d071cc79d5e6ba55b12b8c11192d7d6feed",
+    "measure/sheared_linf/text/0": "a913927a8978cac5c4211909001384d6db332ae917e30af114f2f2c369c04aab",
+    "measure/sheared_linf/text/5": "a913927a8978cac5c4211909001384d6db332ae917e30af114f2f2c369c04aab",
+    "measure/sheared_linf/text/default": "a913927a8978cac5c4211909001384d6db332ae917e30af114f2f2c369c04aab",
+}
+
+
+def _cases():
+    for example, docs in sorted(_example_documents().items()):
+        for cmd in sorted(docs):
+            for fmt in FORMATS[cmd]:
+                yield cmd, example, fmt
+    for fmt in FORMATS["battery"]:
+        yield "battery", None, fmt
+
+
+def _key(cmd, example, fmt, seed) -> str:
+    return f"{cmd}/{example or '-'}/{fmt}/{'default' if seed is None else seed}"
+
+
+def _argv(cmd, example, fmt, seed) -> list[str]:
+    argv = [cmd, "--format", fmt]
+    if example is not None:
+        argv += ["--example", example]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    return argv
+
+
+def cli_digest(capsys, cmd, example, fmt, seed) -> str:
+    code = main(_argv(cmd, example, fmt, seed))
+    captured = capsys.readouterr()
+    h = hashlib.sha256(f"{code}\n".encode())
+    h.update(captured.out.encode())
+    h.update(b"\0")
+    h.update(captured.err.encode())
+    return h.hexdigest()
+
+
+CASES = [(c, e, f, s) for c, e, f in _cases() for s in SEEDS]
+
+
+def test_golden_table_covers_every_case():
+    assert sorted(GOLDEN) == sorted(_key(*case) for case in CASES)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[_key(*case) for case in CASES])
+def test_cli_bytes_match_golden(capsys, monkeypatch, case):
+    monkeypatch.delenv("LOGMEASURE_SEED", raising=False)
+    assert cli_digest(capsys, *case) == GOLDEN[_key(*case)]
