@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import DEFAULT_SEED, TOL_EXACT, as_rng
+from .common import DEFAULT_SEED, TOL_EXACT, _sample_nonneg_diagonals, as_rng
 from .errors import DimensionMismatch, NoExactPath, UnsupportedDimension
 from .measures import induced_matrix_norm
 from .norms import MAX_SIGN_ENUM_DIM, ValidatedNorm
@@ -220,22 +220,10 @@ def diag_norm_identity_check(
     if n > MAX_SIGN_ENUM_DIM and norm.route == "polyhedral":
         raise UnsupportedDimension("vertex sets unavailable at this dimension")
 
-    rng = as_rng(seed)
-    diags: list[np.ndarray] = [np.arange(1.0, n + 1.0), np.ones(n)]
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        diags.append(e)
-        diags.append(2.0 * e)
-        diags.append(np.ones(n) - e)
-    while len(diags) < sample_count:
-        d = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), n))
-        if rng.random() < 0.2:
-            d[rng.integers(n)] = 0.0
-        diags.append(d)
-
+    # every structured diagonal runs, however small sample_count is
+    diags = _sample_nonneg_diagonals(n, max(sample_count, 3 * n + 2), as_rng(seed))
     checks = 0
-    for d in diags[:max(sample_count, len(diags))]:
+    for d in diags:
         D = np.diag(d)
         checks += 1
         val = induced_matrix_norm(D, norm).value

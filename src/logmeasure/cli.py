@@ -39,7 +39,6 @@ from .errors import (
     LogMeasureError,
     Marginal,
     NoExactPath,
-    QuotientNotConverged,
 )
 from .measures import induced_matrix_norm, matrix_measure
 from .norms import norm_spec_from_json, norm_spec_to_json, validate_norm_spec
@@ -52,7 +51,7 @@ EX_INTERNAL = 70
 
 _VERDICT_CODES = {"stable": 0, "unstable": 1, "unknown": 2}
 
-_INTERNAL_ERRORS = (InconsistentOracles, QuotientNotConverged, EigenFailure)
+_INTERNAL_ERRORS = (InconsistentOracles, EigenFailure)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -354,8 +353,6 @@ def _render_diffusion(result, fmt: str):
             "sync_metric": traj.sync_metric.tolist(),
         }
         return _dump_json(doc)
-    if fmt == "csv":
-        return _trajectory_csv(traj, n)
     lines = [
         f"synchronizes: {summary['verdict']['synchronizes']}",
         f"diverged: {summary['diverged']}",
@@ -431,6 +428,17 @@ def _render_battery(report, fmt: str) -> str:
 # ---------------------------------------------------------------- driver
 
 
+# subcommand -> (run, render): run(doc, seed) gives (result, exit code) and
+# render(result, fmt) the output text
+_COMMANDS = {
+    "measure": (_cmd_measure, _render_measure),
+    "classify": (_cmd_classify, _render_classify),
+    "dstable": (_cmd_dstable, _render_dstable),
+    "diffusion": (_cmd_diffusion, _render_diffusion),
+    "battery": (_cmd_battery, _render_battery),
+}
+
+
 def _write(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -464,32 +472,18 @@ def _dispatch(argv: list[str] | None) -> int:
         return parser.exit_with_usage(f"csv format is not defined for {args.cmd!r}")
     doc = _load_document(args, parser)
 
+    run, render = _COMMANDS[args.cmd]
     try:
-        if args.cmd == "measure":
-            payload, code = _cmd_measure(doc, seed)
-            text = _render_measure(payload, fmt)
-        elif args.cmd == "classify":
-            payload, code = _cmd_classify(doc, seed)
-            text = _render_classify(payload, fmt)
-        elif args.cmd == "dstable":
-            report, code = _cmd_dstable(doc, seed)
-            text = _render_dstable(report, fmt)
-        elif args.cmd == "diffusion":
-            result, code = _cmd_diffusion(doc, seed)
-            if fmt == "csv":
-                traj, summary, n = result
-                _write(_trajectory_csv(traj, n), args.out_path)
-                # the verdict record still goes out, on whichever stream
-                # the CSV did not take
-                stream = sys.stdout if args.out_path else sys.stderr
-                stream.write(_dump_json(summary))
-                return code
-            text = _render_diffusion(result, fmt)
-        elif args.cmd == "battery":
-            report, code = _cmd_battery(doc, seed)
-            text = _render_battery(report, fmt)
-        else:  # pragma: no cover - argparse enforces choices
-            return parser.exit_with_usage(f"unknown subcommand {args.cmd!r}")
+        result, code = run(doc, seed)
+        if args.cmd == "diffusion" and fmt == "csv":
+            traj, summary, n = result
+            _write(_trajectory_csv(traj, n), args.out_path)
+            # the verdict record still goes out, on whichever stream
+            # the CSV did not take
+            stream = sys.stdout if args.out_path else sys.stderr
+            stream.write(_dump_json(summary))
+            return code
+        text = render(result, fmt)
     except _INTERNAL_ERRORS as exc:
         print(f"logmeasure: internal consistency failure: {exc}", file=sys.stderr)
         return EX_INTERNAL

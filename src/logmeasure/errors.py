@@ -83,10 +83,6 @@ class NotOrthantMonotonic(LogMeasureError):
     """Operation requires an orthant-monotonic norm."""
 
 
-class QuotientNotConverged(LogMeasureError):
-    """Halving difference quotient failed to stabilize (should not happen)."""
-
-
 class InconsistentOracles(LogMeasureError):
     """Two routes that must agree disagreed; signals an internal bug, never a verdict."""
 

@@ -5,10 +5,10 @@ right-hand derivative of h -> ||I + h A|| at h = 0+. Exact routes:
 
 * ``closed_form``          l_1 / l_2 / l_inf Table-style formulas,
 * ``scaled_closed_form``   the same formulas applied to T A T^-1,
-* ``exact_polyhedral``     vertex maximization for norms with polytope
-  balls; the measure comes from the halving difference quotient
-  (||I + h A|| - 1)/h, which is exactly linear below the first
-  breakpoint of the piecewise-linear map h -> ||I + h A||.
+* ``exact_polyhedral``     norms with polytope balls, |x| = max_F n_F . x
+  over the facet normals: ||A|| is the largest n_F . (A v) over all
+  vertices v and facets F, and mu(A) the largest over the pairs with v on
+  F (Blanchini & Miani, Set-Theoretic Methods in Control).
 
 Everything else is ``estimated``: multi-start ascent on the unit sphere
 for norms, a decreasing-h quotient for measures, always with a positive
@@ -23,15 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .common import as_rng, as_square_matrix
-from .errors import (
-    DimensionMismatch,
-    EigenFailure,
-    NoExactPath,
-    QuotientNotConverged,
-)
+from .errors import DimensionMismatch, EigenFailure, NoExactPath
 from .norms import ValidatedNorm
-
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -39,8 +32,8 @@ class MeasureResult:
     """Value of an induced norm or matrix measure plus provenance.
 
     error_bound is 0 exactly when the method is one of the exact routes.
-    h_used records the final finite-difference step for quotient-based
-    methods.
+    h_used records the final finite-difference step of the estimated
+    measure's quotient; exact routes leave it None.
     """
 
     value: float
@@ -106,40 +99,6 @@ def _bind_matrix(A, norm: ValidatedNorm) -> np.ndarray:
     if norm.dim is not None and M.shape[0] != norm.dim:
         raise DimensionMismatch(f"matrix is {M.shape[0]}x{M.shape[0]} but norm has dim {norm.dim}")
     return M
-
-
-def _poly_vertex_norm(A: np.ndarray, norm: ValidatedNorm) -> float:
-    V = norm.ball_vertices
-    return float(np.max(norm.evaluate_many(V @ A.T)))
-
-
-def _poly_measure(A: np.ndarray, norm: ValidatedNorm) -> MeasureResult:
-    """Halving quotient for polytope-ball norms.
-
-    h -> ||I + h A|| is convex piecewise linear (a max of finitely many
-    affine functions of h), equal to 1 + mu(A) h below its first positive
-    breakpoint, so two agreeing quotients at h and h/2 pin mu exactly up
-    to float noise. The agreement test adds a noise floor of order eps/h
-    because the quotient subtracts two values near 1.
-    """
-    V = norm.ball_vertices
-    VA = V @ A.T
-
-    def quotient(h: float) -> float:
-        return (float(np.max(norm.evaluate_many(V + h * VA))) - 1.0) / h
-
-    h = 1e-3
-    q_prev = quotient(h)
-    for _ in range(60):
-        q_next = quotient(h / 2)
-        tol = 1e-12 * (1.0 + abs(q_next)) + 64.0 * _EPS / h
-        if abs(q_prev - q_next) <= tol:
-            return MeasureResult(q_next, "exact_polyhedral", 0.0, h_used=h / 2)
-        h /= 2
-        q_prev = q_next
-    raise QuotientNotConverged(
-        f"quotient still moving at h={h:.3e} (last value {q_prev:.12g})"
-    )
 
 
 def estimate_induced_norm(
@@ -218,7 +177,7 @@ def induced_matrix_norm(
         M = norm.flat_T @ A @ norm.flat_Tinv
         return MeasureResult(_closed_norm(M, norm.core_p), "scaled_closed_form")
     if route == "polyhedral":
-        return MeasureResult(_poly_vertex_norm(A, norm), "exact_polyhedral")
+        return MeasureResult(norm._polytope.induced_norm(A), "exact_polyhedral")
     return estimate_induced_norm(A, norm, seed=seed)
 
 
@@ -235,7 +194,7 @@ def matrix_measure(
         method = "closed_form" if route == "closed" else "scaled_closed_form"
         return MeasureResult(float(_closed_mu_many(A, norm)), method)
     if route == "polyhedral":
-        return _poly_measure(A, norm)
+        return MeasureResult(norm._polytope.measure(A), "exact_polyhedral")
     return _estimated_measure(A, norm, seed)
 
 

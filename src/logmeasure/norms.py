@@ -10,8 +10,9 @@ Supported families:
   continuously along the coordinate hyperplanes.
 
 ``validate_norm_spec`` turns a raw spec into a ``ValidatedNorm`` carrying the
-dimension, cached geometry (polytope extreme points, facet normals, angular
-order in 2-D), and the analysis route used by the matrix-level operations.
+dimension, cached geometry (for polytope balls, one ``_Polytope``: extreme
+points, facet normals and their incidence), and the analysis route used by
+the matrix-level operations.
 Piecewise specifications are validated by seeded sampling (boundary
 agreement, cross-orthant midpoint convexity, symmetry), so their acceptance
 is probabilistic: a spec that passes is a norm with high confidence, and the
@@ -104,75 +105,94 @@ def _check_symmetric(V: np.ndarray, tol: float) -> None:
             raise NotCentrallySymmetric(f"vertex {v.tolist()} has no antipode in the set")
 
 
-def _extreme_points(V: np.ndarray) -> np.ndarray:
-    """Extreme points of conv(V), requiring a full-dimensional hull."""
-    n = V.shape[1]
-    if n == 1:
-        a = float(np.max(V[:, 0]))
-        b = float(np.min(V[:, 0]))
-        return np.array([[b], [a]])
-    from scipy.spatial import ConvexHull, QhullError
-
-    try:
-        hull = ConvexHull(V)
-    except QhullError as exc:
-        raise DegenerateBall(f"vertex set does not span a full-dimensional ball: {exc}") from exc
-    idx = sorted(set(int(i) for i in hull.vertices))
-    return V[idx]
-
-
 def _canonical_row_order(V: np.ndarray) -> np.ndarray:
     order = np.lexsort(V.T[::-1])
     return V[order]
 
 
-class _PolytopeGauge:
-    """Exact gauge of a full-dimensional symmetric polytope.
+class _Polytope:
+    """A full-dimensional symmetric polytope ball, in one representation.
 
-    2-D uses the angular sector of the query and solves the 2x2 cone system
-    exactly; higher dimensions use cached facet normals, so each evaluation
-    is a max of linear functionals.
+    vertices holds the extreme points in canonical row order and normals
+    the facet normals scaled so that |x| = max_F n_F . x. The incidence
+    pairs (pair_vertex[p], pair_facet[p]) list each vertex v with each
+    facet F it lies on, read off Qhull's combinatorics, so no activity
+    tolerance is involved. Then
+
+        ||A||  = max over v, F of n_F . (A v),
+        mu(A)  = max over pairs (v, F) of n_F . (A v),
+
+    the standard polyhedral formulas (Blanchini & Miani, Set-Theoretic
+    Methods in Control).
     """
 
-    def __init__(self, vertices: np.ndarray):
+    def __init__(self, vertices: np.ndarray, normals: np.ndarray, pair_vertex, pair_facet):
         self.vertices = vertices
-        self.dim = vertices.shape[1]
-        if self.dim == 1:
-            self.scale = float(np.max(np.abs(vertices)))
-            return
-        if self.dim == 2:
-            ang = np.arctan2(vertices[:, 1], vertices[:, 0])
-            order = np.argsort(ang)
-            self.sorted_vertices = vertices[order]
-            self.angles = ang[order]
-            if np.min(np.diff(self.angles, append=self.angles[0] + 2 * np.pi)) <= 0:
-                raise DegenerateBall("two extreme points on a common ray")
-            return
-        from scipy.spatial import ConvexHull
+        self.normals = normals
+        self.pair_vertex = pair_vertex
+        self.pair_facet = pair_facet
+        # column p is n_F * v for pair p, so mu(diag(e)) = max_p e . column p
+        self._diag_weights = (normals[pair_facet] * vertices[pair_vertex]).T
 
-        hull = ConvexHull(vertices)
-        eq = hull.equations
+    @classmethod
+    def hull_of(cls, P: np.ndarray) -> "_Polytope":
+        """The polytope conv(P), from one Qhull call (none in 1-D)."""
+        if P.shape[1] == 1:
+            V = np.array([[P[:, 0].min()], [P[:, 0].max()]])
+            # the facet at each end point v is x . (1/v) = 1
+            return cls(V, 1.0 / V, np.arange(2), np.arange(2))
+        from scipy.spatial import ConvexHull, QhullError
+
+        try:
+            hull = ConvexHull(P)
+        except QhullError as exc:
+            raise DegenerateBall(f"vertex set does not span a full-dimensional ball: {exc}") from exc
+        # Qhull triangulates each facet and copies its equation to every
+        # simplex of it, so bytewise-equal rows are one facet.
+        n = P.shape[1]
+        rows = np.ascontiguousarray(hull.equations).view(np.dtype((np.void, 8 * (n + 1))))
+        _, first, facet_of = np.unique(rows.ravel(), return_index=True, return_inverse=True)
+        eq = hull.equations[first]
         offsets = -eq[:, -1]
         if np.any(offsets <= 0):
             raise DegenerateBall("origin is not interior to the ball")
-        self.facet_normals = eq[:, :-1] / offsets[:, None]
+        # every vertex of a simplex lies on that simplex's facet; the pair
+        # (vertex v, facet F) is keyed F * m + v
+        ext = np.unique(hull.vertices)
+        vertex = np.searchsorted(ext, hull.simplices).ravel()
+        keys = np.unique(np.repeat(facet_of.ravel(), n) * ext.size + vertex)
+        pair_facet, pair_vertex = np.divmod(keys, ext.size)
+        return cls._sorted(P[ext], eq[:, :-1] / offsets[:, None], pair_vertex, pair_facet)
+
+    @classmethod
+    def _sorted(cls, V, normals, pair_vertex, pair_facet) -> "_Polytope":
+        """Put V in canonical row order and re-index the pairs to match."""
+        order = np.lexsort(V.T[::-1])
+        row_of = np.empty(order.size, dtype=int)
+        row_of[order] = np.arange(order.size)
+        return cls(V[order], normals, row_of[pair_vertex], pair_facet)
+
+    def transformed(self, T: np.ndarray) -> "_Polytope":
+        """The ball of x -> |T x|: vertices T^-1 v and normals T^T n_F."""
+        W = self.vertices @ np.linalg.inv(T).T
+        return self._sorted(W, self.normals @ T, self.pair_vertex, self.pair_facet)
 
     def gauge_many(self, X: np.ndarray) -> np.ndarray:
-        if self.dim == 1:
-            return np.abs(X[:, 0]) / self.scale
-        if self.dim == 2:
-            V = self.sorted_vertices
-            m = V.shape[0]
-            th = np.arctan2(X[:, 1], X[:, 0])
-            idx = np.searchsorted(self.angles, th, side="right") - 1
-            idx = np.where(idx < 0, m - 1, idx)
-            v1 = V[idx]
-            v2 = V[(idx + 1) % m]
-            det = v1[:, 0] * v2[:, 1] - v2[:, 0] * v1[:, 1]
-            a = (X[:, 0] * v2[:, 1] - v2[:, 0] * X[:, 1]) / det
-            b = (v1[:, 0] * X[:, 1] - X[:, 0] * v1[:, 1]) / det
-            return a + b
-        return np.maximum((X @ self.facet_normals.T).max(axis=1), 0.0)
+        return np.maximum((X @ self.normals.T).max(axis=1), 0.0)
+
+    def _scores(self, A: np.ndarray) -> np.ndarray:
+        """n_F . (A v) for every facet F (rows) and vertex v (columns)."""
+        return (self.normals @ A) @ self.vertices.T
+
+    def induced_norm(self, A: np.ndarray) -> float:
+        return float(self._scores(A).max())
+
+    def measure(self, A: np.ndarray) -> float:
+        return float(self._scores(A)[self.pair_facet, self.pair_vertex].max())
+
+    def diag_measure_many(self, E: np.ndarray) -> np.ndarray:
+        """mu(diag(e)) for every row e of E, in one matrix product."""
+        return (E @ self._diag_weights).max(axis=1)
 
 
 def _lp_eval_many(p: float, X: np.ndarray) -> np.ndarray:
@@ -208,6 +228,16 @@ def _pattern_indices(X: np.ndarray) -> np.ndarray:
     return (neg * weights).sum(axis=1)
 
 
+def _piecewise_eval(table: "dict[int, ValidatedNorm]", X: np.ndarray) -> np.ndarray:
+    """Evaluate each row of X under the case its orthant index selects."""
+    out = np.empty(X.shape[0])
+    idx = _pattern_indices(X)
+    for key in np.unique(idx):
+        mask = idx == key
+        out[mask] = table[key].evaluate_many(X[mask])
+    return out
+
+
 class ValidatedNorm:
     """A checked norm specification with cached geometry and analysis route.
 
@@ -216,8 +246,8 @@ class ValidatedNorm:
     * ``'closed'``        bare l_1 / l_2 / l_inf,
     * ``'scaled_closed'`` an l_1 / l_2 / l_inf norm behind a nonsingular
       change of coordinates (possibly a collapsed chain of scalings),
-    * ``'polyhedral'``    the unit ball is a polytope with known extreme
-      points (polyhedral specs, scaled polyhedral, reducible piecewise),
+    * ``'polyhedral'``    the unit ball is a known polytope (polyhedral
+      specs, scaled polyhedral, reducible piecewise), held in ``_polytope``,
     * ``'estimated'``     no exact matrix-level route (generic l_p, scaled
       generic l_p, piecewise beyond the reconstruction cap).
 
@@ -234,7 +264,7 @@ class ValidatedNorm:
         inner: "ValidatedNorm | None" = None,
         T: np.ndarray | None = None,
         cases: "dict[str, ValidatedNorm] | None" = None,
-        gauge: _PolytopeGauge | None = None,
+        polytope: _Polytope | None = None,
         ball_vertices: np.ndarray | None = None,
         vertex_error: Exception | None = None,
         flat_T: np.ndarray | None = None,
@@ -247,8 +277,8 @@ class ValidatedNorm:
         self.inner = inner
         self.T = T
         self.cases = cases
-        self._gauge = gauge
-        self._ball_vertices = ball_vertices
+        self._polytope = polytope
+        self._ball_vertices = polytope.vertices if polytope is not None else ball_vertices
         self._vertex_error = vertex_error
         self.flat_T = flat_T
         self.flat_Tinv = np.linalg.inv(flat_T) if flat_T is not None else None
@@ -260,17 +290,9 @@ class ValidatedNorm:
     def _compute_route(self) -> str:
         if self.kind == "lp":
             return "closed" if self.p in (1.0, 2.0, math.inf) else "estimated"
-        if self.kind == "scaled":
-            if self.core_p in (1.0, 2.0, math.inf):
-                return "scaled_closed"
-            if self._ball_vertices is not None:
-                return "polyhedral"
-            return "estimated"
-        if self.kind == "polyhedral":
-            return "polyhedral"
-        if self._ball_vertices is not None:
-            return "polyhedral"
-        return "estimated"
+        if self.kind == "scaled" and self.core_p in (1.0, 2.0, math.inf):
+            return "scaled_closed"
+        return "polyhedral" if self._polytope is not None else "estimated"
 
     # -- evaluation ---------------------------------------------------
 
@@ -285,13 +307,8 @@ class ValidatedNorm:
         if self.kind == "scaled":
             return self.inner.evaluate_many(X @ self.T.T)
         if self.kind == "polyhedral":
-            return self._gauge.gauge_many(X)
-        out = np.empty(X.shape[0])
-        idx = _pattern_indices(X)
-        for key in np.unique(idx):
-            mask = idx == key
-            out[mask] = self._case_table[key].evaluate_many(X[mask])
-        return out
+            return self._polytope.gauge_many(X)
+        return _piecewise_eval(self._case_table, X)
 
     def __call__(self, x) -> float:
         v = as_vector(x, self.dim)
@@ -373,17 +390,17 @@ def _validate_scaled(spec: Scaled, dim: int | None, seed, samples) -> ValidatedN
     while core.kind == "scaled":
         core = core.inner
     core_p = core.p if core.kind == "lp" else None
-    verts = None
-    if core.kind != "lp" or core_p in (1.0, math.inf):
-        core_verts = core.ball_vertices
-        if core_verts is not None:
-            verts = _canonical_row_order(core_verts @ np.linalg.inv(flat_T).T)
+    polytope = None if core._polytope is None else core._polytope.transformed(flat_T)
+    verts = core.ball_vertices if core_p in (1.0, math.inf) else None
+    if verts is not None:
+        verts = _canonical_row_order(verts @ np.linalg.inv(flat_T).T)
     return ValidatedNorm(
         spec,
         n,
         "scaled",
         inner=inner,
         T=T,
+        polytope=polytope,
         ball_vertices=verts,
         flat_T=flat_T,
         core_p=core_p,
@@ -407,29 +424,18 @@ def _validate_polyhedral(spec: Polyhedral, dim: int | None) -> ValidatedNorm:
         raise DegenerateBall("all vertices at the origin")
     # Interior points are dropped, not rejected: the hull (and hence the
     # gauge) is unchanged, and downstream code may assume minimality.
-    V = _canonical_row_order(_extreme_points(V))
-    gauge = _PolytopeGauge(V)
-    return ValidatedNorm(spec, n, "polyhedral", gauge=gauge, ball_vertices=V)
+    return ValidatedNorm(spec, n, "polyhedral", polytope=_Polytope.hull_of(V))
 
 
 def _piecewise_sampled_checks(
     cases: dict[str, ValidatedNorm], n: int, rng: np.random.Generator, samples: int
 ) -> None:
-    table = {key: cases[key] for key in cases}
-
-    def evaluate(X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0])
-        idx = _pattern_indices(X)
-        keys = {_orthant_index(k): v for k, v in table.items()}
-        for key in np.unique(idx):
-            mask = idx == key
-            out[mask] = keys[key].evaluate_many(X[mask])
-        return out
+    table = {_orthant_index(k): v for k, v in cases.items()}
 
     # Central symmetry of the glued function.
     X = rng.standard_normal((200, n))
-    vx = evaluate(X)
-    vmx = evaluate(-X)
+    vx = _piecewise_eval(table, X)
+    vmx = _piecewise_eval(table, -X)
     bad = np.abs(vx - vmx) > 1e-9 * (1 + np.abs(vx))
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -461,8 +467,8 @@ def _piecewise_sampled_checks(
     different = _pattern_indices(X) != _pattern_indices(Y)
     X, Y = X[different], Y[different]
     mid = 0.5 * (X + Y)
-    lhs = evaluate(mid)
-    rhs = 0.5 * (evaluate(X) + evaluate(Y))
+    lhs = _piecewise_eval(table, mid)
+    rhs = 0.5 * (_piecewise_eval(table, X) + _piecewise_eval(table, Y))
     bad = lhs > rhs + 1e-9 * (1 + rhs)
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -472,7 +478,7 @@ def _piecewise_sampled_checks(
         )
 
 
-def _piecewise_ball_vertices(cases: dict[str, ValidatedNorm], n: int) -> np.ndarray | None:
+def _piecewise_polytope(cases: dict[str, ValidatedNorm], n: int) -> _Polytope | None:
     if n > MAX_PIECEWISE_VERTEX_DIM:
         return None
     from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
@@ -497,9 +503,7 @@ def _piecewise_ball_vertices(cases: dict[str, ValidatedNorm], n: int) -> np.ndar
         except QhullError as exc:
             raise DegenerateBall(f"orthant piece for {signs} is degenerate: {exc}") from exc
         pieces.append(hs.intersections)
-    P = _dedup_rows(np.vstack(pieces), TOL_VERTEX)
-    V = _canonical_row_order(_extreme_points(P))
-    return V
+    return _Polytope.hull_of(_dedup_rows(np.vstack(pieces), TOL_VERTEX))
 
 
 def _validate_piecewise(
@@ -533,9 +537,10 @@ def _validate_piecewise(
     }
     _piecewise_sampled_checks(cases, n, rng, samples)
 
-    verts = _piecewise_ball_vertices(cases, n)
-    norm = ValidatedNorm(spec, n, "piecewise", cases=cases, ball_vertices=verts)
-    if verts is not None:
+    polytope = _piecewise_polytope(cases, n)
+    norm = ValidatedNorm(spec, n, "piecewise", cases=cases, polytope=polytope)
+    if polytope is not None:
+        verts = polytope.vertices
         # Reconstructed extreme points must sit on the unit sphere of the
         # glued function; a gap means the pieces do not form a convex body.
         vals = norm.evaluate_many(verts)

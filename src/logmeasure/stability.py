@@ -25,7 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import Verdict, is_orthant_monotonic
-from .common import DEFAULT_SEED, as_rng, as_square_matrix, diag_entries
+from .common import (
+    DEFAULT_SEED,
+    _sample_nonneg_diagonals,
+    as_rng,
+    as_square_matrix,
+    diag_entries,
+)
 from .errors import (
     EigenFailure,
     InconsistentOracles,
@@ -71,24 +77,6 @@ def _abscissa_many(A: np.ndarray, d_rows: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"eigenvalue computation failed: {exc}") from exc
     return lam.real.max(axis=1)
-
-
-def _sample_nonneg_diagonals(n: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Structured diagonals first (they catch the known failure modes), then
-    log-uniform fill with occasional exact zeros."""
-    diags: list[np.ndarray] = [np.arange(1.0, n + 1.0), np.ones(n)]
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        diags.append(e)
-        diags.append(2.0 * e)
-        diags.append(np.ones(n) - e)
-    while len(diags) < count:
-        d = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), n))
-        if rng.random() < 0.2:
-            d[rng.integers(n)] = 0.0
-        diags.append(d)
-    return diags[:max(count, 1)]
 
 
 @dataclass
@@ -188,48 +176,30 @@ def _diagonal_sweep(norm: ValidatedNorm, diags: list[np.ndarray]):
     mu(-I-D) < 0 (None where the condition held throughout), plus how many
     samples were checked.
 
-    Closed and scaled_closed norms score every sample in three stacked
-    closed-form calls and read the witnesses and the count off the first
-    violating indices, which is exactly where the one-by-one loop stops.
-    Polyhedral and piecewise norms keep that loop with its early exit:
-    scoring every sample up front would slow inadmissible polytopes, whose
-    loop usually stops after a few samples.
+    Every sample is scored up front, on all three conditions at once: one
+    matrix product for polytope balls, three stacked closed-form calls
+    otherwise. The witnesses and the count are read off the first
+    violating indices, which is exactly where a one-by-one loop stops.
     """
-    n = norm.dim
-    eye = np.eye(n)
-    if norm.route in ("closed", "scaled_closed"):
-        d = np.array(diags)
+    d = np.array(diags)
+    if norm.route == "polyhedral":
+        mu = norm._polytope.diag_measure_many(np.vstack([-d, d, -1.0 - d])).reshape(3, -1)
+    else:
+        eye = np.eye(norm.dim)
         D = d[:, :, None] * eye
-        try:
-            neg, pos, margin = [_closed_mu_many(S, norm) for S in (-D, D, -eye - D)]
-        except EigenFailure:
-            neg = None
-        # On a failed or non-finite stacked value, fall through to the loop:
-        # it raises at the first sample a one-by-one sweep would fail on.
-        if neg is not None and np.isfinite([neg, pos, margin]).all():
-            bad = (
-                neg > ADMISSIBILITY_TOL,
-                np.abs(pos - d.max(axis=1)) > ADMISSIBILITY_TOL,
-                margin >= -ADMISSIBILITY_TOL,
-            )
-            first = [int(np.argmax(b)) if b.any() else None for b in bad]
-            checks = len(diags) if None in first else max(first) + 1
-            return (*(None if i is None else np.diag(d[i]) for i in first), checks)
-
-    c2_w = c3_w = c4_w = None
-    checks = 0
-    for d in diags:
-        D = np.diag(d)
-        checks += 1
-        if c2_w is None and matrix_measure(-D, norm).value > ADMISSIBILITY_TOL:
-            c2_w = D
-        if c3_w is None and abs(matrix_measure(D, norm).value - d.max()) > ADMISSIBILITY_TOL:
-            c3_w = D
-        if c4_w is None and matrix_measure(-eye - D, norm).value >= -ADMISSIBILITY_TOL:
-            c4_w = D
-        if c2_w is not None and c3_w is not None and c4_w is not None:
-            break
-    return c2_w, c3_w, c4_w, checks
+        mu = np.array([_closed_mu_many(S, norm) for S in (-D, D, -eye - D)])
+    if not np.isfinite(mu).all():
+        # the value a one-by-one sweep would meet first
+        raise ValueError(f"non-finite result value {mu.T[~np.isfinite(mu.T)][0]}")
+    neg, pos, margin = mu
+    bad = (
+        neg > ADMISSIBILITY_TOL,
+        np.abs(pos - d.max(axis=1)) > ADMISSIBILITY_TOL,
+        margin >= -ADMISSIBILITY_TOL,
+    )
+    first = [int(np.argmax(b)) if b.any() else None for b in bad]
+    checks = len(diags) if None in first else max(first) + 1
+    return (*(None if i is None else np.diag(d[i]) for i in first), checks)
 
 
 def measure_of_diagonal(

@@ -5,6 +5,13 @@ of its exit code, stdout and stderr must match the digest recorded before
 the stacked eigen/measure kernels replaced the per-candidate loops. A
 digest that moves means some result changed in its last bits.
 
+Twelve digests, measure/{hexagon,parallelogram}/{json,text}/* over the
+three seeds, were re-recorded when the polytope measure moved from a
+halving difference quotient to the exact vertex-facet formula: the values
+became exact (hexagon 0.9999999999998899 -> 1.0, parallelogram
+2.2500000000000853 -> 2.25), the JSON lost its "h_used" field and the text
+its "quotient step:" line. The other digests did not move.
+
 The digests were recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (DYNAMIC_ARCH,
 x86-64 Haswell kernels). Another BLAS build or kernel may round differently;
 re-record them from an unchanged checkout when the numeric stack changes.
@@ -74,18 +81,18 @@ GOLDEN = {
     "measure/fragile/text/0": "f015c46187040931f8962bf6f9af0fb7a2ea81a33eb2d3abc576c590fbcfa18c",
     "measure/fragile/text/5": "f015c46187040931f8962bf6f9af0fb7a2ea81a33eb2d3abc576c590fbcfa18c",
     "measure/fragile/text/default": "f015c46187040931f8962bf6f9af0fb7a2ea81a33eb2d3abc576c590fbcfa18c",
-    "measure/hexagon/json/0": "f5777e558da7d2d08808a74557c509439e612e48d6987d571d02e8cee19ae247",
-    "measure/hexagon/json/5": "f5777e558da7d2d08808a74557c509439e612e48d6987d571d02e8cee19ae247",
-    "measure/hexagon/json/default": "f5777e558da7d2d08808a74557c509439e612e48d6987d571d02e8cee19ae247",
-    "measure/hexagon/text/0": "847f3983bc182c078cbeb0828ba693db90be0d9c569905aa8c8405035ea83770",
-    "measure/hexagon/text/5": "847f3983bc182c078cbeb0828ba693db90be0d9c569905aa8c8405035ea83770",
-    "measure/hexagon/text/default": "847f3983bc182c078cbeb0828ba693db90be0d9c569905aa8c8405035ea83770",
-    "measure/parallelogram/json/0": "b6bfac4b6fbff7018141d12ae74c0dde24c55f0f9c2413d2281ec5ddfed5607e",
-    "measure/parallelogram/json/5": "b6bfac4b6fbff7018141d12ae74c0dde24c55f0f9c2413d2281ec5ddfed5607e",
-    "measure/parallelogram/json/default": "b6bfac4b6fbff7018141d12ae74c0dde24c55f0f9c2413d2281ec5ddfed5607e",
-    "measure/parallelogram/text/0": "21b26314297e121970bc3cdcaecb026b7b9fd4b92ee7b1563bacd3ec8e5cfc12",
-    "measure/parallelogram/text/5": "21b26314297e121970bc3cdcaecb026b7b9fd4b92ee7b1563bacd3ec8e5cfc12",
-    "measure/parallelogram/text/default": "21b26314297e121970bc3cdcaecb026b7b9fd4b92ee7b1563bacd3ec8e5cfc12",
+    "measure/hexagon/json/0": "d25392d48d3e4606a6ce41160b861bbed97878087d014d307790ace55dcbf69e",
+    "measure/hexagon/json/5": "d25392d48d3e4606a6ce41160b861bbed97878087d014d307790ace55dcbf69e",
+    "measure/hexagon/json/default": "d25392d48d3e4606a6ce41160b861bbed97878087d014d307790ace55dcbf69e",
+    "measure/hexagon/text/0": "03485bd1fb114dd0f9936f8e0869233b34d47660908ec529988b609b44d0879c",
+    "measure/hexagon/text/5": "03485bd1fb114dd0f9936f8e0869233b34d47660908ec529988b609b44d0879c",
+    "measure/hexagon/text/default": "03485bd1fb114dd0f9936f8e0869233b34d47660908ec529988b609b44d0879c",
+    "measure/parallelogram/json/0": "bf430488faecad541392665574daac9288632ccce9f36ef51c36cad00d19b8c3",
+    "measure/parallelogram/json/5": "bf430488faecad541392665574daac9288632ccce9f36ef51c36cad00d19b8c3",
+    "measure/parallelogram/json/default": "bf430488faecad541392665574daac9288632ccce9f36ef51c36cad00d19b8c3",
+    "measure/parallelogram/text/0": "e680bc713155ca4fb111f22155b6da6024abe09b4d3a07e6300873b176087ff5",
+    "measure/parallelogram/text/5": "e680bc713155ca4fb111f22155b6da6024abe09b4d3a07e6300873b176087ff5",
+    "measure/parallelogram/text/default": "e680bc713155ca4fb111f22155b6da6024abe09b4d3a07e6300873b176087ff5",
     "measure/sheared_linf/json/0": "a6515344723903b63aa91fc9de788d071cc79d5e6ba55b12b8c11192d7d6feed",
     "measure/sheared_linf/json/5": "a6515344723903b63aa91fc9de788d071cc79d5e6ba55b12b8c11192d7d6feed",
     "measure/sheared_linf/json/default": "a6515344723903b63aa91fc9de788d071cc79d5e6ba55b12b8c11192d7d6feed",

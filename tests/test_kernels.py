@@ -6,8 +6,11 @@ import pytest
 
 from logmeasure import (
     Lp,
+    Polyhedral,
     Scaled,
+    hexagon_spec,
     matrix_measure,
+    parallelogram_spec,
     sheared_linf_spec,
     spectral_abscissa,
     validate_norm_spec,
@@ -134,6 +137,18 @@ def _norms():
             T = np.eye(n) + 0.8 * rng.standard_normal((n, n))
             out.append(validate_norm_spec(Scaled(T, Lp(p))))
     out.append(validate_norm_spec(sheared_linf_spec()))
+    # polytope balls: random symmetric ones in 2-5 D, a segment, scaled
+    # polytopes, and the hexagon (a piecewise norm reduced to its polytope)
+    for n in (2, 3, 4, 5):
+        W = rng.standard_normal((n + 2, n))
+        out.append(validate_norm_spec(Polyhedral(np.vstack([W, -W]))))
+    out.append(validate_norm_spec(Polyhedral(np.array([[2.0], [-2.0], [0.5], [-0.5]]))))
+    out.append(validate_norm_spec(parallelogram_spec()))
+    W = rng.standard_normal((5, 3))
+    for T in (np.diag([0.5, 2.0, 3.0]), np.eye(3) + 0.5 * rng.standard_normal((3, 3))):
+        out.append(validate_norm_spec(Scaled(T, Polyhedral(np.vstack([W, -W])))))
+    out.append(validate_norm_spec(hexagon_spec(), dim=2))
+    out.append(validate_norm_spec(Scaled(np.array([[2.0, 0.5], [0.0, 1.0]]), hexagon_spec())))
     return out
 
 
@@ -172,12 +187,12 @@ def test_stacked_sweep_matches_per_sample_measures(budget):
             if want is not None:
                 violated += 1
                 assert got.tobytes() == want.tobytes()
-    assert violated  # the general scalings and sheared_linf are inadmissible
+    assert violated  # the general scalings, sheared_linf and most polytopes are inadmissible
 
 
 def test_closed_mu_many_is_bitwise_matrix_measure():
     rng = np.random.default_rng(3)
-    for norm in NORMS:
+    for norm in (m for m in NORMS if m.route != "polyhedral"):
         S = rng.standard_normal((30, norm.dim, norm.dim))
         got = _closed_mu_many(S, norm)
         want = [matrix_measure(M, norm).value for M in S]

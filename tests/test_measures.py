@@ -1,5 +1,7 @@
 """Induced norms, matrix measures, and the inequalities tying them together."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,9 +15,11 @@ from logmeasure import (
     NoExactPath,
     Polyhedral,
     check_measure_sandwich,
+    hexagon_spec,
     induced_matrix_norm,
     matrix_measure,
     measure_quotient,
+    parallelogram_spec,
     sheared_linf_spec,
     spectral_abscissa,
     validate_norm_spec,
@@ -118,8 +122,38 @@ def test_polyhedral_measure_converges_exactly():
     r = matrix_measure(np.diag([-1.0, 0.0]), norm)
     assert r.method == "exact_polyhedral"
     assert r.error_bound == 0.0
-    assert r.h_used is not None and r.h_used > 0.0
-    assert r.value == pytest.approx(0.5, abs=ATOL)
+    assert r.value == 0.5
+
+
+def _cube(n: int) -> np.ndarray:
+    return np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_cube_and_cross_polytope_match_closed_forms(n):
+    cube = validate_norm_spec(Polyhedral(_cube(n)))
+    cross = validate_norm_spec(Polyhedral(np.vstack([np.eye(n), -np.eye(n)])))
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        A = rng.standard_normal((n, n))
+        for norm, p in ((cube, np.inf), (cross, 1.0)):
+            mu = matrix_measure(A, norm).value
+            assert mu == pytest.approx(_closed_form(A, p, True), rel=1e-12)
+            nv = induced_matrix_norm(A, norm).value
+            assert nv == pytest.approx(_closed_form(A, p, False), rel=1e-12)
+
+
+def test_seven_cube_has_one_normal_per_facet():
+    # Qhull splits the 14 facets into 13,686 simplices; they merge back
+    poly = validate_norm_spec(Polyhedral(_cube(7)))._polytope
+    assert poly.normals.shape == (14, 7)
+    # 128 vertices, each on 7 facets
+    assert poly.pair_vertex.size == 896
+
+
+def test_example_polytope_measures_are_exact():
+    for spec, want in ((hexagon_spec(), 1.0), (parallelogram_spec(), 2.25)):
+        assert matrix_measure(FRAGILE_MATRIX, validate_norm_spec(spec, dim=2)).value == want
 
 
 # ------------------------------------------------------------- inequalities
