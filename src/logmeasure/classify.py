@@ -25,11 +25,14 @@ import numpy as np
 
 from .common import DEFAULT_SEED, TOL_EXACT, _sample_nonneg_diagonals, as_rng
 from .errors import DimensionMismatch, NoExactPath, UnsupportedDimension
-from .measures import induced_matrix_norm
+from .measures import _closed_norm_many, induced_matrix_norm
 from .norms import MAX_SIGN_ENUM_DIM, ValidatedNorm
 
 # Sign-diagonal enumeration cost is 2**n; beyond this we sample instead.
 MAX_SIGN_DIAG_DIM = 20
+
+# Sampled vectors behind a classifier verdict with no exact route.
+_SAMPLES = 10_000
 
 
 @dataclass
@@ -79,7 +82,6 @@ def is_absolute(
     norm: ValidatedNorm,
     *,
     seed: int | np.random.Generator | None = DEFAULT_SEED,
-    samples: int = 10_000,
 ) -> Verdict:
     """Decide |x| = |abs(x)| for all x."""
     if norm.kind == "lp":
@@ -92,7 +94,8 @@ def is_absolute(
         )
 
     if norm.route == "scaled_closed":
-        # Absolute iff every sign diagonal has induced norm 1.
+        # Absolute iff every sign diagonal has induced norm 1. One at a time:
+        # a stack of all 2**n diagonals would not fit in memory at the cap.
         checks = 0
         for signs in _sign_patterns(n):
             S = np.diag(signs)
@@ -102,8 +105,8 @@ def is_absolute(
                 return Verdict(False, True, _sign_normalize(S), checks)
         return Verdict(True, True, None, checks)
 
-    V = norm.ball_vertices
-    if V is not None:
+    if norm._polytope is not None:
+        V = norm._polytope.vertices
         # Sign flips must keep every extreme point on the unit sphere.
         checks = 0
         for signs in _sign_patterns(n):
@@ -121,13 +124,13 @@ def is_absolute(
         return Verdict(True, True, None, checks)
 
     rng = as_rng(seed)
-    X = rng.standard_normal((samples, n))
+    X = rng.standard_normal((_SAMPLES, n))
     va = norm.evaluate_many(X)
     vb = norm.evaluate_many(np.abs(X))
     bad = np.abs(va - vb) > TOL_EXACT * (1.0 + np.abs(va))
     if np.any(bad):
-        return Verdict(False, True, _sign_normalize(X[int(np.argmax(bad))]), samples)
-    return Verdict(True, False, None, samples)
+        return Verdict(False, True, _sign_normalize(X[int(np.argmax(bad))]), _SAMPLES)
+    return Verdict(True, False, None, _SAMPLES)
 
 
 def _projection_witness_scaled(norm: ValidatedNorm, j: int) -> np.ndarray:
@@ -154,7 +157,6 @@ def is_orthant_monotonic(
     norm: ValidatedNorm,
     *,
     seed: int | np.random.Generator | None = DEFAULT_SEED,
-    samples: int = 10_000,
 ) -> Verdict:
     """Decide ||P_j|| <= 1 for every coordinate-deleting projection P_j."""
     if norm.kind == "lp":
@@ -163,19 +165,23 @@ def is_orthant_monotonic(
     n = _require_dim(norm)
 
     if norm.route == "scaled_closed":
-        checks = 0
-        for j in range(n):
-            P = np.eye(n)
-            P[j, j] = 0.0
-            checks += 1
-            val = induced_matrix_norm(P, norm).value
-            if val > 1.0 + TOL_EXACT:
-                x = _projection_witness_scaled(norm, j)
-                return Verdict(False, True, _sign_normalize(x), checks)
-        return Verdict(True, True, None, checks)
+        idx = np.arange(n)
+        P = np.repeat(np.eye(n)[None], n, axis=0)
+        P[idx, idx, idx] = 0.0
+        vals = _closed_norm_many(P, norm)
+        # the first projection a one-at-a-time check stops at: a violation,
+        # or a non-finite norm, which it reports as an error
+        stop = ~np.isfinite(vals) | (vals > 1.0 + TOL_EXACT)
+        if not stop.any():
+            return Verdict(True, True, None, n)
+        j = int(np.argmax(stop))
+        if not np.isfinite(vals[j]):
+            raise ValueError(f"non-finite result value {vals[j]}")
+        x = _projection_witness_scaled(norm, j)
+        return Verdict(False, True, _sign_normalize(x), j + 1)
 
-    V = norm.ball_vertices
-    if V is not None:
+    if norm._polytope is not None:
+        V = norm._polytope.vertices
         checks = 0
         for j in range(n):
             W = V.copy()
@@ -188,14 +194,14 @@ def is_orthant_monotonic(
         return Verdict(True, True, None, checks)
 
     rng = as_rng(seed)
-    X = rng.standard_normal((samples, n))
+    X = rng.standard_normal((_SAMPLES, n))
     base = norm.evaluate_many(X)
     checks = 0
     for j in range(n):
         W = X.copy()
         W[:, j] = 0.0
         vals = norm.evaluate_many(W)
-        checks += samples
+        checks += _SAMPLES
         bad = vals > base + TOL_EXACT * (1.0 + base)
         if np.any(bad):
             return Verdict(False, True, _sign_normalize(X[int(np.argmax(bad))]), checks)
@@ -204,11 +210,11 @@ def is_orthant_monotonic(
 
 def diag_norm_identity_check(
     norm: ValidatedNorm,
-    sample_count: int = 100,
     *,
     seed: int | np.random.Generator | None = DEFAULT_SEED,
 ) -> Verdict:
-    """Check ||D|| = max_i d_ii over sampled nonnegative diagonal matrices.
+    """Check ||D|| = max_i d_ii over 100 sampled nonnegative diagonal matrices
+    (more when n > 32, so that every structured diagonal runs).
 
     Holds for all of them iff the norm is orthant-monotonic, so this is
     the operator-side probe of that classification. Sampling makes a pass
@@ -220,8 +226,8 @@ def diag_norm_identity_check(
     if n > MAX_SIGN_ENUM_DIM and norm.route == "polyhedral":
         raise UnsupportedDimension("vertex sets unavailable at this dimension")
 
-    # every structured diagonal runs, however small sample_count is
-    diags = _sample_nonneg_diagonals(n, max(sample_count, 3 * n + 2), as_rng(seed))
+    diags = _sample_nonneg_diagonals(n, max(100, 3 * n + 2), as_rng(seed))
+    # One at a time: a stack of polytope scores would hold k x F x V entries.
     checks = 0
     for d in diags:
         D = np.diag(d)

@@ -4,7 +4,9 @@ The matrix measure (logarithmic norm) of A under a vector norm is the
 right-hand derivative of h -> ||I + h A|| at h = 0+. Exact routes:
 
 * ``closed_form``          l_1 / l_2 / l_inf Table-style formulas,
-* ``scaled_closed_form``   the same formulas applied to T A T^-1,
+* ``scaled_closed_form``   the same formulas applied to T A T^-1; both
+  labels come from one kernel per quantity, which applies T only when the
+  norm has one,
 * ``exact_polyhedral``     norms with polytope balls, |x| = max_F n_F . x
   over the facet normals: ||A|| is the largest n_F . (A v) over all
   vertices v and facets F, and mu(A) the largest over the pairs with v on
@@ -60,29 +62,37 @@ class MeasureResult:
         return doc
 
 
-def _closed_norm(A: np.ndarray, p: float) -> float:
+# the method label each closed-form route reports
+_CLOSED_METHODS = {"closed": "closed_form", "scaled_closed": "scaled_closed_form"}
+
+
+def _core_frame(S: np.ndarray, norm: ValidatedNorm) -> np.ndarray:
+    """S in the coordinates of the norm's l_1 / l_2 / l_inf core."""
+    return S if norm.flat_T is None else norm.flat_T @ S @ norm.flat_Tinv
+
+
+# The two kernels below take one matrix, or a (k, n, n) stack, under a norm
+# on a closed-form route. A stack goes through the same numpy calls, matrix
+# by matrix, as a single matrix does, so every entry is bit-identical to a
+# one-by-one evaluation.
+
+
+def _closed_norm_many(S: np.ndarray, norm: ValidatedNorm) -> np.ndarray:
+    """Closed-form induced norm of each matrix."""
+    S, p = _core_frame(S, norm), norm.core_p
     if p == 1:
-        return float(np.abs(A).sum(axis=0).max())
+        return np.abs(S).sum(axis=-2).max(axis=-1)
     if p == math.inf:
-        return float(np.abs(A).sum(axis=1).max())
+        return np.abs(S).sum(axis=-1).max(axis=-1)
     try:
-        return float(np.linalg.norm(A, 2))
+        return np.linalg.norm(S, 2, axis=(-2, -1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigenFailure(f"SVD failed: {exc}") from exc
 
 
 def _closed_mu_many(S: np.ndarray, norm: ValidatedNorm) -> np.ndarray:
-    """Closed-form measure of one matrix, or of each matrix in a (k, n, n)
-    stack, under a norm on the closed or scaled_closed route.
-
-    A stack goes through the same numpy calls, matrix by matrix, as a
-    single matrix does, so every entry is bit-identical to a one-by-one
-    evaluation.
-    """
-    p = norm.p
-    if norm.route == "scaled_closed":
-        S = norm.flat_T @ S @ norm.flat_Tinv
-        p = norm.core_p
+    """Closed-form measure of each matrix."""
+    S, p = _core_frame(S, norm), norm.core_p
     d = np.diagonal(S, axis1=-2, axis2=-1)
     if p == 1:
         return (d + np.abs(S).sum(axis=-2) - np.abs(d)).max(axis=-1)
@@ -106,15 +116,12 @@ def estimate_induced_norm(
     norm: ValidatedNorm,
     *,
     seed: int | np.random.Generator | None = None,
-    starts: int = 12,
-    nonnegative: bool = False,
 ) -> MeasureResult:
     """Multi-start ascent estimate of ||A|| for norms with no exact route.
 
-    Maximizes |Ax| / |x| with Nelder-Mead from unit-vector, all-ones,
-    top-singular-vector, and random starts. With nonnegative=True the
-    search is restricted to the nonnegative orthant (x = |u|). The value
-    is a lower bound attained at a concrete vector; error_bound is the
+    Maximizes |Ax| / |x| with Nelder-Mead from 12 starts: all-ones, the
+    unit vectors, +/- the top right singular vector, then random ones. The
+    value is a lower bound attained at a concrete vector; error_bound is the
     spread of the converged starts plus the termination tolerance, a
     heuristic gap indicator rather than a rigorous bracket.
     """
@@ -126,8 +133,7 @@ def estimate_induced_norm(
     n = A.shape[0]
     rng = as_rng(seed)
 
-    def ratio(u: np.ndarray) -> float:
-        x = np.abs(u) if nonnegative else u
+    def ratio(x: np.ndarray) -> float:
         nx = float(norm.evaluate_many(x[None, :])[0])
         if nx < 1e-12:
             return 0.0
@@ -137,15 +143,11 @@ def estimate_induced_norm(
     start_list.extend(np.eye(n))
     try:
         _, _, vt = np.linalg.svd(A)
-        top = vt[0]
-        start_list.append(np.abs(top) if nonnegative else top)
-        if not nonnegative:
-            start_list.append(-top)
+        start_list.extend([vt[0], -vt[0]])
     except np.linalg.LinAlgError:
         pass
-    while len(start_list) < max(starts, 4):
-        u = rng.standard_normal(n)
-        start_list.append(np.abs(u) if nonnegative else u)
+    while len(start_list) < 12:
+        start_list.append(rng.standard_normal(n))
 
     results = []
     for u0 in start_list:
@@ -171,11 +173,8 @@ def induced_matrix_norm(
     """Operator norm of A induced by the vector norm: max_{|x|=1} |A x|."""
     A = _bind_matrix(A, norm)
     route = norm.route
-    if route == "closed":
-        return MeasureResult(_closed_norm(A, norm.p), "closed_form")
-    if route == "scaled_closed":
-        M = norm.flat_T @ A @ norm.flat_Tinv
-        return MeasureResult(_closed_norm(M, norm.core_p), "scaled_closed_form")
+    if route in _CLOSED_METHODS:
+        return MeasureResult(float(_closed_norm_many(A, norm)), _CLOSED_METHODS[route])
     if route == "polyhedral":
         return MeasureResult(norm._polytope.induced_norm(A), "exact_polyhedral")
     return estimate_induced_norm(A, norm, seed=seed)
@@ -190,9 +189,8 @@ def matrix_measure(
     """Matrix measure (logarithmic norm) of A under the vector norm."""
     A = _bind_matrix(A, norm)
     route = norm.route
-    if route in ("closed", "scaled_closed"):
-        method = "closed_form" if route == "closed" else "scaled_closed_form"
-        return MeasureResult(float(_closed_mu_many(A, norm)), method)
+    if route in _CLOSED_METHODS:
+        return MeasureResult(float(_closed_mu_many(A, norm)), _CLOSED_METHODS[route])
     if route == "polyhedral":
         return MeasureResult(norm._polytope.measure(A), "exact_polyhedral")
     return _estimated_measure(A, norm, seed)

@@ -10,18 +10,19 @@ Supported families:
   continuously along the coordinate hyperplanes.
 
 ``validate_norm_spec`` turns a raw spec into a ``ValidatedNorm`` carrying the
-dimension, cached geometry (for polytope balls, one ``_Polytope``: extreme
-points, facet normals and their incidence), and the analysis route used by
-the matrix-level operations.
+dimension, the analysis route used by the matrix-level operations, and one
+representation of the norm for its exact route: an l_1 / l_2 / l_inf core
+behind a change of coordinates (``core_p``, ``flat_T``) for the closed-form
+routes, or one ``_Polytope`` (extreme points, facet normals and their
+incidence) for polytope balls.
 Piecewise specifications are validated by seeded sampling (boundary
 agreement, cross-orthant midpoint convexity, symmetry), so their acceptance
 is probabilistic: a spec that passes is a norm with high confidence, and the
 exact polytope reconstruction in dimensions <= 3 re-checks the geometry.
 
-All functions are pure. A ValidatedNorm is not immutable: ``ball_vertices``
-of a bare l_1 / l_inf spec is a cache filled on first access. Threads that
-race on that first access each compute an equal array and one of them is
-kept, so sharing an instance is harmless, but the object does change.
+All functions are pure, and a ValidatedNorm is never mutated after
+validation: the unit-ball vertices of a closed-form norm are derived on
+demand by ``unit_ball_vertices``, so instances can be shared freely.
 
 scipy.spatial (Qhull) is imported where hulls are built, so importing the
 package does not load it.
@@ -92,17 +93,27 @@ NormSpec = Union[Lp, Scaled, Polyhedral, PiecewiseOrthant]
 
 
 def _dedup_rows(V: np.ndarray, tol: float) -> np.ndarray:
-    keep: list[int] = []
-    for i in range(V.shape[0]):
-        if not any(np.max(np.abs(V[i] - V[k])) <= tol for k in keep):
-            keep.append(i)
+    """V without each row lying within tol (max-norm) of an earlier kept row."""
+    from scipy.spatial import cKDTree
+
+    pairs = cKDTree(V).query_pairs(tol, p=np.inf, output_type="ndarray")
+    keep = np.ones(V.shape[0], dtype=bool)
+    # pairs come as i < j; walked in order of j, keep[i] is settled before
+    # any pair (i, j) is read, as in a keep-first scan
+    for i, j in pairs[np.lexsort(pairs.T)]:
+        if keep[i]:
+            keep[j] = False
     return V[keep]
 
 
 def _check_symmetric(V: np.ndarray, tol: float) -> None:
-    for v in V:
-        if not any(np.max(np.abs(v + w)) <= tol for w in V):
-            raise NotCentrallySymmetric(f"vertex {v.tolist()} has no antipode in the set")
+    """Raise unless every row has an antipode within tol (max-norm)."""
+    from scipy.spatial import cKDTree
+
+    dist, _ = cKDTree(V).query(-V, p=np.inf)
+    if np.any(dist > tol):
+        v = V[int(np.argmax(dist > tol))]
+        raise NotCentrallySymmetric(f"vertex {v.tolist()} has no antipode in the set")
 
 
 def _canonical_row_order(V: np.ndarray) -> np.ndarray:
@@ -239,19 +250,21 @@ def _piecewise_eval(table: "dict[int, ValidatedNorm]", X: np.ndarray) -> np.ndar
 
 
 class ValidatedNorm:
-    """A checked norm specification with cached geometry and analysis route.
+    """A checked norm specification with its analysis route.
 
-    route is one of:
+    route is one of, with the single representation each one reads:
 
-    * ``'closed'``        bare l_1 / l_2 / l_inf,
+    * ``'closed'``        bare l_1 / l_2 / l_inf: ``core_p`` = p,
     * ``'scaled_closed'`` an l_1 / l_2 / l_inf norm behind a nonsingular
-      change of coordinates (possibly a collapsed chain of scalings),
+      change of coordinates (possibly a collapsed chain of scalings):
+      ``core_p`` and ``flat_T``, so |x| = l_core_p(flat_T x),
     * ``'polyhedral'``    the unit ball is a known polytope (polyhedral
       specs, scaled polyhedral, reducible piecewise), held in ``_polytope``,
     * ``'estimated'``     no exact matrix-level route (generic l_p, scaled
       generic l_p, piecewise beyond the reconstruction cap).
 
-    Build instances with :func:`validate_norm_spec`.
+    Instances are never mutated after construction. Build them with
+    :func:`validate_norm_spec`.
     """
 
     def __init__(
@@ -265,8 +278,6 @@ class ValidatedNorm:
         T: np.ndarray | None = None,
         cases: "dict[str, ValidatedNorm] | None" = None,
         polytope: _Polytope | None = None,
-        ball_vertices: np.ndarray | None = None,
-        vertex_error: Exception | None = None,
         flat_T: np.ndarray | None = None,
         core_p: float | None = None,
     ):
@@ -278,8 +289,6 @@ class ValidatedNorm:
         self.T = T
         self.cases = cases
         self._polytope = polytope
-        self._ball_vertices = polytope.vertices if polytope is not None else ball_vertices
-        self._vertex_error = vertex_error
         self.flat_T = flat_T
         self.flat_Tinv = np.linalg.inv(flat_T) if flat_T is not None else None
         self.core_p = core_p
@@ -288,10 +297,8 @@ class ValidatedNorm:
         self.route = self._compute_route()
 
     def _compute_route(self) -> str:
-        if self.kind == "lp":
-            return "closed" if self.p in (1.0, 2.0, math.inf) else "estimated"
-        if self.kind == "scaled" and self.core_p in (1.0, 2.0, math.inf):
-            return "scaled_closed"
+        if self.core_p in (1.0, 2.0, math.inf):
+            return "closed" if self.flat_T is None else "scaled_closed"
         return "polyhedral" if self._polytope is not None else "estimated"
 
     # -- evaluation ---------------------------------------------------
@@ -314,26 +321,6 @@ class ValidatedNorm:
         v = as_vector(x, self.dim)
         return float(self.evaluate_many(v[None, :])[0])
 
-    # -- geometry -----------------------------------------------------
-
-    @property
-    def ball_vertices(self) -> np.ndarray | None:
-        """Extreme points of the unit ball, or None when not available."""
-        if self._ball_vertices is None and self.kind == "lp" and self.dim is not None:
-            try:
-                self._ball_vertices = _lp_ball_vertices(self.p, self.dim)
-            except (NotPolyhedral, UnsupportedDimension) as exc:
-                self._vertex_error = exc
-        return self._ball_vertices
-
-    def vertex_failure(self) -> Exception:
-        """The exception explaining why ball_vertices is None."""
-        if self._vertex_error is not None:
-            return self._vertex_error
-        if self.kind == "lp" and self.dim is None:
-            return DimensionMismatch("lp spec has no bound dimension; validate with dim=...")
-        return NotPolyhedral("unit ball of this spec is not available as a polytope")
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"ValidatedNorm(kind={self.kind!r}, dim={self.dim}, route={self.route!r})"
 
@@ -349,10 +336,14 @@ def unit_ball_vertices(norm: ValidatedNorm) -> np.ndarray:
     Raises NotPolyhedral for non-polytopal balls, UnsupportedDimension
     beyond the enumeration caps, DimensionMismatch for unbound lp specs.
     """
-    V = norm.ball_vertices
-    if V is None:
-        raise norm.vertex_failure()
-    return V.copy()
+    if norm._polytope is not None:
+        return norm._polytope.vertices.copy()
+    if norm.dim is None:
+        raise DimensionMismatch("lp spec has no bound dimension; validate with dim=...")
+    if norm.core_p is None:
+        raise NotPolyhedral("unit ball of this spec is not available as a polytope")
+    V = _lp_ball_vertices(norm.core_p, norm.dim)
+    return V if norm.flat_T is None else _canonical_row_order(V @ norm.flat_Tinv.T)
 
 
 # -- validation -------------------------------------------------------
@@ -367,10 +358,10 @@ def _validate_lp(spec: Lp, dim: int | None) -> ValidatedNorm:
         raise ValidationError(f"lp norms need p >= 1, got {p}")
     if dim is not None and dim < 1:
         raise ValidationError("dimension must be >= 1")
-    return ValidatedNorm(spec, dim, "lp", p=p)
+    return ValidatedNorm(spec, dim, "lp", p=p, core_p=p)
 
 
-def _validate_scaled(spec: Scaled, dim: int | None, seed, samples) -> ValidatedNorm:
+def _validate_scaled(spec: Scaled, dim: int | None, seed) -> ValidatedNorm:
     T = np.asarray(spec.T, dtype=float)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValidationError(f"scaling matrix must be square, got shape {T.shape}")
@@ -382,28 +373,16 @@ def _validate_scaled(spec: Scaled, dim: int | None, seed, samples) -> ValidatedN
     sv = np.linalg.svd(T, compute_uv=False)
     if sv[-1] <= 1e-12 * sv[0]:
         raise SingularScaling(f"scaling matrix singular to working precision (sv ratio {sv[-1]/sv[0]:.2e})")
-    inner = validate_norm_spec(spec.inner, dim=n, seed=seed, samples=samples)
+    inner = validate_norm_spec(spec.inner, dim=n, seed=seed)
     # Collapse chains of scalings: |x| = inner(T x) with inner itself scaled
     # by S around a core means core norm evaluated at (S_flat T) x.
     flat_T = T if inner.flat_T is None else inner.flat_T @ T
     core = inner
     while core.kind == "scaled":
         core = core.inner
-    core_p = core.p if core.kind == "lp" else None
     polytope = None if core._polytope is None else core._polytope.transformed(flat_T)
-    verts = core.ball_vertices if core_p in (1.0, math.inf) else None
-    if verts is not None:
-        verts = _canonical_row_order(verts @ np.linalg.inv(flat_T).T)
     return ValidatedNorm(
-        spec,
-        n,
-        "scaled",
-        inner=inner,
-        T=T,
-        polytope=polytope,
-        ball_vertices=verts,
-        flat_T=flat_T,
-        core_p=core_p,
+        spec, n, "scaled", inner=inner, T=T, polytope=polytope, flat_T=flat_T, core_p=inner.core_p
     )
 
 
@@ -428,7 +407,7 @@ def _validate_polyhedral(spec: Polyhedral, dim: int | None) -> ValidatedNorm:
 
 
 def _piecewise_sampled_checks(
-    cases: dict[str, ValidatedNorm], n: int, rng: np.random.Generator, samples: int
+    cases: dict[str, ValidatedNorm], n: int, rng: np.random.Generator
 ) -> None:
     table = {_orthant_index(k): v for k, v in cases.items()}
 
@@ -461,9 +440,8 @@ def _piecewise_sampled_checks(
             )
 
     # Convexity across orthants, sampled at midpoints.
-    k = max(samples, 1000)
-    X = rng.standard_normal((k, n))
-    Y = rng.standard_normal((k, n))
+    X = rng.standard_normal((1000, n))
+    Y = rng.standard_normal((1000, n))
     different = _pattern_indices(X) != _pattern_indices(Y)
     X, Y = X[different], Y[different]
     mid = 0.5 * (X + Y)
@@ -485,8 +463,9 @@ def _piecewise_polytope(cases: dict[str, ValidatedNorm], n: int) -> _Polytope | 
 
     pieces = []
     for signs, inner in cases.items():
-        Vin = inner.ball_vertices
-        if Vin is None:
+        try:
+            Vin = unit_ball_vertices(inner)
+        except NotPolyhedral:
             return None
         sigma = np.array([1.0 if c == "+" else -1.0 for c in signs])
         if n == 1:
@@ -506,9 +485,7 @@ def _piecewise_polytope(cases: dict[str, ValidatedNorm], n: int) -> _Polytope | 
     return _Polytope.hull_of(_dedup_rows(np.vstack(pieces), TOL_VERTEX))
 
 
-def _validate_piecewise(
-    spec: PiecewiseOrthant, dim: int | None, seed, samples
-) -> ValidatedNorm:
+def _validate_piecewise(spec: PiecewiseOrthant, dim: int | None, seed) -> ValidatedNorm:
     items = dict(spec.cases)
     if not items:
         raise ValidationError("piecewise spec has no cases")
@@ -532,10 +509,9 @@ def _validate_piecewise(
 
     rng = as_rng(seed)
     cases = {
-        key: validate_norm_spec(inner, dim=n, seed=seed, samples=samples)
-        for key, inner in items.items()
+        key: validate_norm_spec(inner, dim=n, seed=seed) for key, inner in items.items()
     }
-    _piecewise_sampled_checks(cases, n, rng, samples)
+    _piecewise_sampled_checks(cases, n, rng)
 
     polytope = _piecewise_polytope(cases, n)
     norm = ValidatedNorm(spec, n, "piecewise", cases=cases, polytope=polytope)
@@ -549,9 +525,7 @@ def _validate_piecewise(
                 "reconstructed ball extreme points are not at norm 1; "
                 "the piecewise definition is not convex"
             )
-        for v in verts:
-            if not any(np.max(np.abs(v + w)) <= 1e-9 for w in verts):
-                raise NotCentrallySymmetric("reconstructed ball is not symmetric")
+        _check_symmetric(verts, 1e-9)
     return norm
 
 
@@ -560,9 +534,8 @@ def validate_norm_spec(
     *,
     dim: int | None = None,
     seed: int | np.random.Generator | None = DEFAULT_SEED,
-    samples: int = 1000,
 ) -> ValidatedNorm:
-    """Validate a norm spec and attach cached geometry and the analysis route.
+    """Validate a norm spec and attach its representation and analysis route.
 
     dim binds the dimension of a bare lp spec (other families carry their
     own); seed drives every sampled check, so validation is deterministic.
@@ -570,11 +543,11 @@ def validate_norm_spec(
     if isinstance(spec, Lp):
         return _validate_lp(spec, dim)
     if isinstance(spec, Scaled):
-        return _validate_scaled(spec, dim, seed, samples)
+        return _validate_scaled(spec, dim, seed)
     if isinstance(spec, Polyhedral):
         return _validate_polyhedral(spec, dim)
     if isinstance(spec, PiecewiseOrthant):
-        return _validate_piecewise(spec, dim, seed, samples)
+        return _validate_piecewise(spec, dim, seed)
     raise ValidationError(f"unknown norm spec type {type(spec).__name__}")
 
 

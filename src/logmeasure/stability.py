@@ -146,12 +146,9 @@ def is_admissible_measure(
         counterexample = np.diag(d.max() * np.ones(n) - d)
     if counterexample is None and not om.holds:
         # a projection violation at coordinate j forces mu(-diag(e_j)) > 0
-        for j in range(n):
-            E = np.zeros((n, n))
-            E[j, j] = 1.0
-            if matrix_measure(-E, norm).value > ADMISSIBILITY_TOL:
-                counterexample = E
-                break
+        hits = (_diag_measures(norm, -np.eye(n)) > ADMISSIBILITY_TOL).nonzero()[0]
+        if hits.size:
+            counterexample = np.diag(np.eye(n)[hits[0]])
 
     if counterexample is not None:
         if matrix_measure(-counterexample, norm).value <= ADMISSIBILITY_TOL:
@@ -176,18 +173,12 @@ def _diagonal_sweep(norm: ValidatedNorm, diags: list[np.ndarray]):
     mu(-I-D) < 0 (None where the condition held throughout), plus how many
     samples were checked.
 
-    Every sample is scored up front, on all three conditions at once: one
-    matrix product for polytope balls, three stacked closed-form calls
-    otherwise. The witnesses and the count are read off the first
-    violating indices, which is exactly where a one-by-one loop stops.
+    Every sample is scored up front, on all three conditions at once, in
+    one _diag_measures call. The witnesses and the count are read off the
+    first violating indices, which is exactly where a one-by-one loop stops.
     """
     d = np.array(diags)
-    if norm.route == "polyhedral":
-        mu = norm._polytope.diag_measure_many(np.vstack([-d, d, -1.0 - d])).reshape(3, -1)
-    else:
-        eye = np.eye(norm.dim)
-        D = d[:, :, None] * eye
-        mu = np.array([_closed_mu_many(S, norm) for S in (-D, D, -eye - D)])
+    mu = _diag_measures(norm, np.vstack([-d, d, -1.0 - d])).reshape(3, -1)
     if not np.isfinite(mu).all():
         # the value a one-by-one sweep would meet first
         raise ValueError(f"non-finite result value {mu.T[~np.isfinite(mu.T)][0]}")
@@ -200,6 +191,15 @@ def _diagonal_sweep(norm: ValidatedNorm, diags: list[np.ndarray]):
     first = [int(np.argmax(b)) if b.any() else None for b in bad]
     checks = len(diags) if None in first else max(first) + 1
     return (*(None if i is None else np.diag(d[i]) for i in first), checks)
+
+
+def _diag_measures(norm: ValidatedNorm, E: np.ndarray) -> np.ndarray:
+    """mu(diag(e)) for every row e of E under a norm with an exact route:
+    one matrix product for polytope balls, one stacked closed-form call
+    otherwise."""
+    if norm._polytope is not None:
+        return norm._polytope.diag_measure_many(E)
+    return _closed_mu_many(E[:, :, None] * np.eye(norm.dim), norm)
 
 
 def measure_of_diagonal(

@@ -39,8 +39,8 @@ RNG = np.random.default_rng(20260819)
 def lp_gauge_oracle(V: np.ndarray, x: np.ndarray) -> float:
     """Minkowski gauge as a small LP: min sum(mu), V^T mu = x, mu >= 0.
 
-    Independent of the shipped gauge code path (sector search in 2-D,
-    facet maximization beyond).
+    Independent of the shipped gauge code path (facet maximization over
+    the hull's normals, in every dimension).
     """
     m = V.shape[0]
     res = linprog(np.ones(m), A_eq=V.T, b_eq=x, bounds=(0, None), method="highs")
@@ -177,7 +177,7 @@ def test_gauge_matches_lp_oracle_2d():
 
 
 def test_gauge_matches_lp_oracle_3d():
-    # 3-D exercises the facet-maximization path instead of sector search
+    # the same facet-maximization path as in 2-D, on a Qhull-triangulated hull
     P = RNG.standard_normal((6, 3)) * 2.0
     norm = validate_norm_spec(Polyhedral(np.vstack([P, -P])))
     V = unit_ball_vertices(norm)
@@ -198,6 +198,13 @@ def test_lp_ball_vertices():
     big = validate_norm_spec(Lp(np.inf), dim=17)
     with pytest.raises(UnsupportedDimension):
         unit_ball_vertices(big)
+
+
+def test_scaled_linf_vertices_beyond_the_cap_name_the_cap():
+    # the core's enumeration cap, not a claim that the ball is no polytope
+    norm = validate_norm_spec(Scaled(2.0 * np.eye(17), Lp(np.inf)))
+    with pytest.raises(UnsupportedDimension, match="capped at n=16"):
+        unit_ball_vertices(norm)
 
 
 def test_eval_rejects_wrong_length():
