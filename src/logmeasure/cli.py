@@ -53,6 +53,10 @@ _VERDICT_CODES = {"stable": 0, "unstable": 1, "unknown": 2}
 
 _INTERNAL_ERRORS = (InconsistentOracles, EigenFailure)
 
+# battery and dstable refuse a larger "budget", the count of sampled
+# diagonals or family members, before any sampling
+_MAX_BUDGET = 10_000
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad usage, which would collide with the
@@ -175,6 +179,19 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _integer(doc: dict, key: str, default, cap: int | None = None) -> int:
+    """doc[key] (default when absent): an int but not a bool, or an
+    integral float; anything else, or a value above cap, is a bad input."""
+    v = doc.get(key, default)
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{key!r} must be an integer, got {v!r}")
+    if cap is not None and v > cap:
+        raise ValueError(f"{key!r} is {v}, above the cap of {cap}")
+    return v
+
+
 def _np_default(obj):
     if isinstance(obj, np.integer):
         return int(obj)
@@ -200,7 +217,7 @@ def _cmd_measure(doc: dict, seed: int):
     if op not in ("measure", "norm"):
         raise ValueError(f"op must be 'measure' or 'norm', got {op!r}")
     spec = norm_spec_from_json(_require(doc, "norm"))
-    dim = int(doc.get("dim", A.shape[0]))
+    dim = _integer(doc, "dim", A.shape[0])
     norm = validate_norm_spec(spec, dim=dim, seed=seed)
     if op == "measure":
         result = matrix_measure(A, norm, seed=seed)
@@ -214,16 +231,14 @@ def _cmd_measure(doc: dict, seed: int):
 def _render_measure(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return _dump_json(payload)
-    if fmt == "text":
-        lines = [
-            f"{payload['op']} value: {payload['value']:.12g}",
-            f"method: {payload['method']}",
-            f"error bound: {payload['error_bound']:.3g}",
-        ]
-        if payload.get("h_used") is not None:
-            lines.append(f"quotient step: {payload['h_used']:.3g}")
-        return "\n".join(lines) + "\n"
-    raise ValueError("csv format is not defined for measure output")
+    lines = [
+        f"{payload['op']} value: {payload['value']:.12g}",
+        f"method: {payload['method']}",
+        f"error bound: {payload['error_bound']:.3g}",
+    ]
+    if payload.get("h_used") is not None:
+        lines.append(f"quotient step: {payload['h_used']:.3g}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------- classify
@@ -231,8 +246,8 @@ def _render_measure(payload: dict, fmt: str) -> str:
 
 def _cmd_classify(doc: dict, seed: int):
     spec = norm_spec_from_json(_require(doc, "norm"))
-    dim = doc.get("dim")
-    norm = validate_norm_spec(spec, dim=None if dim is None else int(dim), seed=seed)
+    dim = None if doc.get("dim") is None else _integer(doc, "dim", None)
+    norm = validate_norm_spec(spec, dim=dim, seed=seed)
     payload = {
         "absolute": is_absolute(norm, seed=seed).to_jsonable(),
         "orthant_monotonic": is_orthant_monotonic(norm, seed=seed).to_jsonable(),
@@ -250,23 +265,21 @@ def _cmd_classify(doc: dict, seed: int):
 def _render_classify(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return _dump_json(payload)
-    if fmt == "text":
-        lines = []
-        for key in ("absolute", "orthant_monotonic", "diag_identity"):
-            v = payload[key]
-            if v is None:
-                lines.append(f"{key}: skipped")
-                continue
-            mark = "yes" if v["holds"] else "no"
-            if not v["exact"]:
-                mark += " (sampled)"
-            line = f"{key}: {mark}"
-            if v["witness"] is not None:
-                line += f", witness {v['witness']}"
-            lines.append(line)
-        lines.extend(payload["notes"])
-        return "\n".join(lines) + "\n"
-    raise ValueError("csv format is not defined for classify output")
+    lines = []
+    for key in ("absolute", "orthant_monotonic", "diag_identity"):
+        v = payload[key]
+        if v is None:
+            lines.append(f"{key}: skipped")
+            continue
+        mark = "yes" if v["holds"] else "no"
+        if not v["exact"]:
+            mark += " (sampled)"
+        line = f"{key}: {mark}"
+        if v["witness"] is not None:
+            line += f", witness {v['witness']}"
+        lines.append(line)
+    lines.extend(payload["notes"])
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------- dstable
@@ -274,7 +287,7 @@ def _render_classify(payload: dict, fmt: str) -> str:
 
 def _cmd_dstable(doc: dict, seed: int):
     A = as_square_matrix(_require(doc, "matrix"))
-    budget = int(doc.get("budget", 20))
+    budget = _integer(doc, "budget", 20, _MAX_BUDGET)
     family = None
     if "family" in doc and doc["family"] is not None:
         family = [
@@ -288,20 +301,18 @@ def _cmd_dstable(doc: dict, seed: int):
 def _render_dstable(report: DStabilityReport, fmt: str) -> str:
     if fmt == "json":
         return _dump_json(report.to_jsonable())
-    if fmt == "text":
-        lines = [f"verdict: {report.verdict}", f"method: {report.method}"]
-        if report.certificate is not None:
-            cert = report.certificate.to_jsonable()
-            lines.append(f"certificate norm: {json.dumps(cert['norm'], sort_keys=True)}")
-            lines.append(f"certificate measure: {cert['mu']:.12g}")
-        if report.counterexample is not None:
-            ce = report.counterexample
-            lines.append(f"destabilizing D: {np.diag(ce.D).tolist()}")
-            lines.append(f"spectral abscissa of A-D: {ce.abscissa:.12g}")
-        if report.note:
-            lines.append(f"note: {report.note}")
-        return "\n".join(lines) + "\n"
-    raise ValueError("csv format is not defined for dstable output")
+    lines = [f"verdict: {report.verdict}", f"method: {report.method}"]
+    if report.certificate is not None:
+        cert = report.certificate.to_jsonable()
+        lines.append(f"certificate norm: {json.dumps(cert['norm'], sort_keys=True)}")
+        lines.append(f"certificate measure: {cert['mu']:.12g}")
+    if report.counterexample is not None:
+        ce = report.counterexample
+        lines.append(f"destabilizing D: {np.diag(ce.D).tolist()}")
+        lines.append(f"spectral abscissa of A-D: {ce.abscissa:.12g}")
+    if report.note:
+        lines.append(f"note: {report.note}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------- diffusion
@@ -368,7 +379,7 @@ def _render_diffusion(result, fmt: str):
 
 
 def _cmd_battery(doc: dict, seed: int):
-    budget = int(doc.get("budget", 200))
+    budget = _integer(doc, "budget", 200, _MAX_BUDGET)
     report = equivalence_table(budget=budget, seed=seed)
     code = EX_OK if report.all_agree else EX_INTERNAL
     return report, code

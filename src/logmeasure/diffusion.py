@@ -6,7 +6,8 @@ block-diagonalizes the coupled dynamics into A and A - 2D, so the agents
 synchronize (x - z -> 0) exactly when A - 2D is Hurwitz. Diffusion can
 destroy stability: A Hurwitz does not imply A - 2D Hurwitz unless the
 matrix is additively D-stable with margin, which is why the stability
-module's analysis feeds this one.
+module's analysis feeds this one. simulate integrates the pair with
+classical RK4, evaluated as its one-step propagator matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     NotNonnegativeDiagonal,
     StepTooLarge,
 )
-from .stability import HURWITZ_TOL, is_hurwitz
+from .stability import is_hurwitz
 
 DIVERGENCE_CUTOFF = 1e6
 STEP_NORM_BOUND = 0.1
@@ -81,7 +82,7 @@ def build_coupled(A, D) -> CoupledSystem:
     return CoupledSystem(A, Dm, block)
 
 
-def sync_verdict(A, D, tol: float = HURWITZ_TOL) -> bool:
+def sync_verdict(A, D) -> bool:
     """Synchronization criterion: x - z -> 0 iff A - 2D is Hurwitz.
 
     Stated for Hurwitz A only; a non-Hurwitz base matrix raises
@@ -91,13 +92,16 @@ def sync_verdict(A, D, tol: float = HURWITZ_TOL) -> bool:
     d = diag_entries(D, A.shape[0])
     if np.any(d < 0.0):
         raise NotNonnegativeDiagonal("diffusion gains must be >= 0")
-    if not is_hurwitz(A, tol):
+    if not is_hurwitz(A):
         raise BaseNotHurwitz("synchronization criterion assumes A Hurwitz")
-    return is_hurwitz(A - 2.0 * np.diag(d), tol)
+    return is_hurwitz(A - 2.0 * np.diag(d))
 
 
 def simulate(A, D, x0, z0, horizon: float, dt: float) -> Trajectory:
     """Integrate the coupled pair with fixed-step classical RK4.
+
+    The system is linear, so one RK4 step is exactly y <- P y: the
+    propagator P = sum_{k<=4} (dt B)^k / k! is built once, in Horner form.
 
     horizon and dt must be positive and finite, dt must not exceed the
     horizon and must satisfy dt * ||block||_inf <= 0.1, and the grid may
@@ -124,22 +128,18 @@ def simulate(A, D, x0, z0, horizon: float, dt: float) -> Trajectory:
             f"horizon / dt = {horizon / dt:.3g} steps of {2 * n} values exceed the cap of "
             f"{MAX_STATE_VALUES} stored state values"
         )
+    P = eye = np.eye(2 * n)
+    for k in (4.0, 3.0, 2.0, 1.0):
+        P = eye + (dt / k) * B @ P
     times = np.arange(steps + 1) * dt
     states = np.empty((steps + 1, 2 * n))
-    sync = np.empty(steps + 1)
-    y = np.concatenate([x0, z0])
-    states[0] = y
-    sync[0] = np.linalg.norm(x0 - z0)
-    half, sixth = 0.5 * dt, dt / 6.0
+    y = states[0] = np.concatenate([x0, z0])
+    diverged = False
     for k in range(1, steps + 1):
-        k1 = B @ y
-        k2 = B @ (y + half * k1)
-        k3 = B @ (y + half * k2)
-        k4 = B @ (y + dt * k3)
-        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[k] = y
-        sync[k] = np.linalg.norm(y[:n] - y[n:])
+        y = states[k] = P @ y
+        # checked every step, so growth stops long before float overflow
         if np.abs(y).max() > DIVERGENCE_CUTOFF:
-            m = k + 1
-            return Trajectory(times[:m].copy(), states[:m].copy(), sync[:m].copy(), True)
-    return Trajectory(times, states, sync)
+            times, states, diverged = times[: k + 1].copy(), states[: k + 1].copy(), True
+            break
+    sync = np.linalg.norm(states[:, :n] - states[:, n:], axis=1)
+    return Trajectory(times, states, sync, diverged)

@@ -11,10 +11,10 @@ Supported families:
 
 ``validate_norm_spec`` turns a raw spec into a ``ValidatedNorm`` carrying the
 dimension, the analysis route used by the matrix-level operations, and one
-representation of the norm for its exact route: an l_1 / l_2 / l_inf core
-behind a change of coordinates (``core_p``, ``flat_T``) for the closed-form
-routes, or one ``_Polytope`` (extreme points, facet normals and their
-incidence) for polytope balls.
+representation of the norm, which evaluation, measures and classifiers
+all read: an l_p core behind a collapsed change of coordinates
+(``core_p``, ``flat_T``), one ``_Polytope`` (extreme points, facet normals
+and their incidence) for polytope balls, or an orthant case table.
 Piecewise specifications are validated by seeded sampling (boundary
 agreement, cross-orthant midpoint convexity, symmetry), so their acceptance
 is probabilistic: a spec that passes is a norm with high confidence, and the
@@ -263,6 +263,12 @@ class ValidatedNorm:
     * ``'estimated'``     no exact matrix-level route (generic l_p, scaled
       generic l_p, piecewise beyond the reconstruction cap).
 
+    Evaluation reads the same representation, never the spec tree: the
+    polytope gauge, else ``flat_T`` (if any) then the l_``core_p`` norm or,
+    for piecewise norms and their scalings, the orthant case table. A
+    piecewise norm keeps its case table even when its ball was rebuilt, as
+    validation checks the rebuilt ball against those values.
+
     Instances are never mutated after construction. Build them with
     :func:`validate_norm_spec`.
     """
@@ -273,27 +279,19 @@ class ValidatedNorm:
         dim: int | None,
         kind: str,
         *,
-        p: float | None = None,
-        inner: "ValidatedNorm | None" = None,
-        T: np.ndarray | None = None,
-        cases: "dict[str, ValidatedNorm] | None" = None,
         polytope: _Polytope | None = None,
         flat_T: np.ndarray | None = None,
         core_p: float | None = None,
+        case_table: "dict[int, ValidatedNorm] | None" = None,
     ):
         self.spec = spec
         self.dim = dim
         self.kind = kind
-        self.p = p
-        self.inner = inner
-        self.T = T
-        self.cases = cases
         self._polytope = polytope
         self.flat_T = flat_T
         self.flat_Tinv = np.linalg.inv(flat_T) if flat_T is not None else None
         self.core_p = core_p
-        if cases is not None:
-            self._case_table = {_orthant_index(k): v for k, v in cases.items()}
+        self._case_table = case_table
         self.route = self._compute_route()
 
     def _compute_route(self) -> str:
@@ -309,13 +307,13 @@ class ValidatedNorm:
             raise DimensionMismatch(f"expected a (k, n) sample array, got shape {X.shape}")
         if self.dim is not None and X.shape[1] != self.dim:
             raise DimensionMismatch(f"expected dimension {self.dim}, got {X.shape[1]}")
-        if self.kind == "lp":
-            return _lp_eval_many(self.p, X)
-        if self.kind == "scaled":
-            return self.inner.evaluate_many(X @ self.T.T)
-        if self.kind == "polyhedral":
+        if self._polytope is not None and self._case_table is None:
             return self._polytope.gauge_many(X)
-        return _piecewise_eval(self._case_table, X)
+        if self.flat_T is not None:
+            X = X @ self.flat_T.T
+        if self._case_table is not None:
+            return _piecewise_eval(self._case_table, X)
+        return _lp_eval_many(self.core_p, X)
 
     def __call__(self, x) -> float:
         v = as_vector(x, self.dim)
@@ -358,7 +356,7 @@ def _validate_lp(spec: Lp, dim: int | None) -> ValidatedNorm:
         raise ValidationError(f"lp norms need p >= 1, got {p}")
     if dim is not None and dim < 1:
         raise ValidationError("dimension must be >= 1")
-    return ValidatedNorm(spec, dim, "lp", p=p, core_p=p)
+    return ValidatedNorm(spec, dim, "lp", core_p=p)
 
 
 def _validate_scaled(spec: Scaled, dim: int | None, seed) -> ValidatedNorm:
@@ -377,12 +375,9 @@ def _validate_scaled(spec: Scaled, dim: int | None, seed) -> ValidatedNorm:
     # Collapse chains of scalings: |x| = inner(T x) with inner itself scaled
     # by S around a core means core norm evaluated at (S_flat T) x.
     flat_T = T if inner.flat_T is None else inner.flat_T @ T
-    core = inner
-    while core.kind == "scaled":
-        core = core.inner
-    polytope = None if core._polytope is None else core._polytope.transformed(flat_T)
+    polytope = None if inner._polytope is None else inner._polytope.transformed(T)
     return ValidatedNorm(
-        spec, n, "scaled", inner=inner, T=T, polytope=polytope, flat_T=flat_T, core_p=inner.core_p
+        spec, n, "scaled", polytope=polytope, flat_T=flat_T, core_p=inner.core_p, case_table=inner._case_table
     )
 
 
@@ -406,11 +401,7 @@ def _validate_polyhedral(spec: Polyhedral, dim: int | None) -> ValidatedNorm:
     return ValidatedNorm(spec, n, "polyhedral", polytope=_Polytope.hull_of(V))
 
 
-def _piecewise_sampled_checks(
-    cases: dict[str, ValidatedNorm], n: int, rng: np.random.Generator
-) -> None:
-    table = {_orthant_index(k): v for k, v in cases.items()}
-
+def _piecewise_sampled_checks(table: "dict[int, ValidatedNorm]", n: int, rng: np.random.Generator) -> None:
     # Central symmetry of the glued function.
     X = rng.standard_normal((200, n))
     vx = _piecewise_eval(table, X)
@@ -432,7 +423,7 @@ def _piecewise_sampled_checks(
         vals = []
         for cj in "+-":
             base[j] = cj
-            vals.append(float(cases["".join(base)].evaluate_many(x[None, :])[0]))
+            vals.append(float(table[_orthant_index("".join(base))].evaluate_many(x[None, :])[0]))
         if abs(vals[0] - vals[1]) > 1e-9 * (1 + abs(vals[0])):
             raise NotConvex(
                 f"orthant pieces disagree on the boundary at {x.tolist()}: "
@@ -511,10 +502,11 @@ def _validate_piecewise(spec: PiecewiseOrthant, dim: int | None, seed) -> Valida
     cases = {
         key: validate_norm_spec(inner, dim=n, seed=seed) for key, inner in items.items()
     }
-    _piecewise_sampled_checks(cases, n, rng)
+    table = {_orthant_index(k): v for k, v in cases.items()}
+    _piecewise_sampled_checks(table, n, rng)
 
     polytope = _piecewise_polytope(cases, n)
-    norm = ValidatedNorm(spec, n, "piecewise", cases=cases, polytope=polytope)
+    norm = ValidatedNorm(spec, n, "piecewise", polytope=polytope, case_table=table)
     if polytope is not None:
         verts = polytope.vertices
         # Reconstructed extreme points must sit on the unit sphere of the

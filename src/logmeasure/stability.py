@@ -33,7 +33,6 @@ from .common import (
     diag_entries,
 )
 from .errors import (
-    EigenFailure,
     InconsistentOracles,
     Marginal,
     NoExactPath,
@@ -42,7 +41,7 @@ from .errors import (
     NotOrthantMonotonic,
     WrongDimension,
 )
-from .measures import _closed_mu_many, matrix_measure, spectral_abscissa
+from .measures import _abscissa_many, _closed_mu_many, matrix_measure, spectral_abscissa
 from .norms import Lp, Scaled, ValidatedNorm, validate_norm_spec
 
 ADMISSIBILITY_TOL = 1e-9
@@ -50,33 +49,16 @@ HURWITZ_TOL = 1e-9
 FALSIFY_THRESHOLD = 1e-6
 
 
-def is_hurwitz(A, tol: float = HURWITZ_TOL) -> bool:
-    """True iff every eigenvalue has real part < -tol.
+def is_hurwitz(A) -> bool:
+    """True iff every eigenvalue has real part < -HURWITZ_TOL.
 
-    Raises Marginal when the spectral abscissa lands inside the
-    [-tol, tol] band; the verdict is withheld rather than guessed.
+    Raises Marginal when the spectral abscissa lands within HURWITZ_TOL
+    of zero; the verdict is withheld rather than guessed.
     """
     s = spectral_abscissa(as_square_matrix(A))
-    if abs(s) <= tol:
-        raise Marginal(f"spectral abscissa {s:.3e} within {tol:g} of zero")
+    if abs(s) <= HURWITZ_TOL:
+        raise Marginal(f"spectral abscissa {s:.3e} within {HURWITZ_TOL:g} of zero")
     return s < 0.0
-
-
-def _abscissa_many(A: np.ndarray, d_rows: np.ndarray) -> np.ndarray:
-    """spectral_abscissa(A - diag(d)) for every row d of d_rows.
-
-    One stacked eigvals call; LAPACK sees the same matrices one by one as
-    in single calls, so each entry is bit-identical to spectral_abscissa.
-    """
-    n = A.shape[0]
-    idx = np.arange(n)
-    B = np.repeat(A[None, :, :], d_rows.shape[0], axis=0)
-    B[:, idx, idx] -= d_rows
-    try:
-        lam = np.linalg.eigvals(B)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(f"eigenvalue computation failed: {exc}") from exc
-    return lam.real.max(axis=1)
 
 
 @dataclass
@@ -291,13 +273,13 @@ def additive_d_stable_2x2(A) -> bool:
     return tr < 0.0 and det > 0.0 and A[0, 0] <= 0.0 and A[1, 1] <= 0.0
 
 
-def additive_d_stable_metzler(A, tol: float = HURWITZ_TOL) -> bool:
+def additive_d_stable_metzler(A) -> bool:
     """For Metzler A (off-diagonal >= 0), additive D-stability is Hurwitz."""
     A = as_square_matrix(A)
     off = A[~np.eye(A.shape[0], dtype=bool)]
     if np.any(off < 0.0):
         raise NotMetzler("matrix has a negative off-diagonal entry")
-    return is_hurwitz(A, tol)
+    return is_hurwitz(A)
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, output determinism, channel layout."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -259,6 +261,41 @@ def test_hostile_values_exit_65_without_traceback(capsys, tmp_path):
         code, out, err = _run(capsys, "diffusion", "--in", path)
         assert (code, out) == (65, "")
         assert "BadTimeGrid" in err
+
+
+def test_integer_fields_refuse_non_integers_and_oversized_budgets(capsys, tmp_path, monkeypatch):
+    started = []
+
+    def battery_stub(**kw):
+        started.append(kw)
+        return SimpleNamespace(all_agree=True, to_jsonable=dict)
+
+    monkeypatch.setattr("logmeasure.cli.equivalence_table", battery_stub)
+    monkeypatch.setattr("logmeasure.cli.additive_d_stability_report", lambda *a, **kw: started.append(kw))
+    matrix = [[-1.0, 0.0], [0.0, -1.0]]
+    norm = {"kind": "lp", "p": 1}
+    refused = [
+        ("battery", {"budget": math.inf}),
+        ("battery", {"budget": 10_001}),
+        ("battery", {"budget": True}),
+        ("battery", {"budget": "200"}),
+        ("dstable", {"matrix": matrix, "budget": math.inf}),
+        ("dstable", {"matrix": matrix, "budget": 1e300}),
+        ("dstable", {"matrix": matrix, "budget": 2.5}),
+        ("measure", {"matrix": matrix, "norm": norm, "dim": math.inf}),
+        ("classify", {"norm": norm, "dim": -math.inf}),
+        ("classify", {"norm": norm, "dim": False}),
+    ]
+    for cmd, doc in refused:
+        code, out, err = _run(capsys, cmd, "--in", _write_doc(tmp_path, doc))
+        assert (code, out) == (65, ""), (cmd, doc)
+        assert "Traceback" not in err and "ValueError" in err, (cmd, doc)
+    assert started == []  # every refusal came before any sampling
+
+    code, out, _ = _run(capsys, "measure", "--in", _write_doc(tmp_path, {"matrix": matrix, "norm": norm, "dim": 2.0}))
+    assert code == 0 and json.loads(out)["value"] == -1.0
+    assert _run(capsys, "battery", "--in", _write_doc(tmp_path, {"budget": 10_000.0}))[0] == 0
+    assert started == [{"budget": 10_000, "seed": logmeasure.DEFAULT_SEED}]
 
 
 def test_import_loads_neither_scipy_optimize_nor_spatial():

@@ -12,14 +12,35 @@ became exact (hexagon 0.9999999999998899 -> 1.0, parallelogram
 2.2500000000000853 -> 2.25), the JSON lost its "h_used" field and the text
 its "quotient step:" line. The other digests did not move.
 
+Six digests, diffusion/fragile/{json,csv}/* over the three seeds, were
+re-recorded when the RK4 integrator came to be evaluated as its propagator
+y <- P y, P = sum_{k<=4} (dt B)^k / k!, instead of four stages per step.
+The two are the same map in exact arithmetic; every number of those
+outputs stayed within 1e-12 (1 + |v|) of the stages' output (the largest
+move was 1.5e-15 (1 + |v|)), and the diffusion text digests, which print 6
+significant digits, did not move.
+
+Run as a script (``python3 tests/test_golden.py``), this file prints the
+digest table of the current checkout in GOLDEN's layout, through the same
+``digest`` helper the test uses; re-record from that output.
+
 The digests were recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (DYNAMIC_ARCH,
 x86-64 Haswell kernels). Another BLAS build or kernel may round differently;
 re-record them from an unchanged checkout when the numeric stack changes.
 """
 
+import contextlib
 import hashlib
+import io
+import os
+import sys
+from pathlib import Path
 
 import pytest
+
+if __name__ == "__main__":
+    # run as a script, the table is computed from this checkout's sources
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from logmeasure.cli import _example_documents, main
 
@@ -60,12 +81,12 @@ GOLDEN = {
     "classify/sheared_linf/text/0": "1a37023afdf846c7701492a68de86ac754b83e2ac1e9ad4879fd1a23b23f6176",
     "classify/sheared_linf/text/5": "1a37023afdf846c7701492a68de86ac754b83e2ac1e9ad4879fd1a23b23f6176",
     "classify/sheared_linf/text/default": "1a37023afdf846c7701492a68de86ac754b83e2ac1e9ad4879fd1a23b23f6176",
-    "diffusion/fragile/csv/0": "6e28bb1bdd97192c4043b162de1090ec31788e94730e3933a2d5ad0d993ef6cd",
-    "diffusion/fragile/csv/5": "6e28bb1bdd97192c4043b162de1090ec31788e94730e3933a2d5ad0d993ef6cd",
-    "diffusion/fragile/csv/default": "6e28bb1bdd97192c4043b162de1090ec31788e94730e3933a2d5ad0d993ef6cd",
-    "diffusion/fragile/json/0": "51ffb6cb0ff867bc1152fd1814a08aa877b61a26105335aa9bee7f8b1948f0f7",
-    "diffusion/fragile/json/5": "51ffb6cb0ff867bc1152fd1814a08aa877b61a26105335aa9bee7f8b1948f0f7",
-    "diffusion/fragile/json/default": "51ffb6cb0ff867bc1152fd1814a08aa877b61a26105335aa9bee7f8b1948f0f7",
+    "diffusion/fragile/csv/0": "00bcffc5a8f9c283c7e0210a47788fd4a851e8d853e734d518109c385b5afdb3",
+    "diffusion/fragile/csv/5": "00bcffc5a8f9c283c7e0210a47788fd4a851e8d853e734d518109c385b5afdb3",
+    "diffusion/fragile/csv/default": "00bcffc5a8f9c283c7e0210a47788fd4a851e8d853e734d518109c385b5afdb3",
+    "diffusion/fragile/json/0": "1a6dc1c4c4ec6df2c2d70070724df7ed4b07165638f6b90639b7785ca121f303",
+    "diffusion/fragile/json/5": "1a6dc1c4c4ec6df2c2d70070724df7ed4b07165638f6b90639b7785ca121f303",
+    "diffusion/fragile/json/default": "1a6dc1c4c4ec6df2c2d70070724df7ed4b07165638f6b90639b7785ca121f303",
     "diffusion/fragile/text/0": "c4bc7158b3b43e27d3b890f50cd307c8ba06c9c91326105922669709504c01b7",
     "diffusion/fragile/text/5": "c4bc7158b3b43e27d3b890f50cd307c8ba06c9c91326105922669709504c01b7",
     "diffusion/fragile/text/default": "c4bc7158b3b43e27d3b890f50cd307c8ba06c9c91326105922669709504c01b7",
@@ -124,14 +145,18 @@ def _argv(cmd, example, fmt, seed) -> list[str]:
     return argv
 
 
+def digest(code: int, out: str, err: str) -> str:
+    h = hashlib.sha256(f"{code}\n".encode())
+    h.update(out.encode())
+    h.update(b"\0")
+    h.update(err.encode())
+    return h.hexdigest()
+
+
 def cli_digest(capsys, cmd, example, fmt, seed) -> str:
     code = main(_argv(cmd, example, fmt, seed))
     captured = capsys.readouterr()
-    h = hashlib.sha256(f"{code}\n".encode())
-    h.update(captured.out.encode())
-    h.update(b"\0")
-    h.update(captured.err.encode())
-    return h.hexdigest()
+    return digest(code, captured.out, captured.err)
 
 
 CASES = [(c, e, f, s) for c, e, f in _cases() for s in SEEDS]
@@ -145,3 +170,17 @@ def test_golden_table_covers_every_case():
 def test_cli_bytes_match_golden(capsys, monkeypatch, case):
     monkeypatch.delenv("LOGMEASURE_SEED", raising=False)
     assert cli_digest(capsys, *case) == GOLDEN[_key(*case)]
+
+
+def print_digest_table() -> None:
+    """Print GOLDEN's entries as this checkout produces them."""
+    os.environ.pop("LOGMEASURE_SEED", None)
+    for case in sorted(CASES, key=lambda case: _key(*case)):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(_argv(*case))
+        print(f'    "{_key(*case)}": "{digest(code, out.getvalue(), err.getvalue())}",')
+
+
+if __name__ == "__main__":
+    print_digest_table()
