@@ -10,11 +10,23 @@ conditions signals a bug in this package, never a mathematical
 outcome, and raises InconsistentOracles.
 
 A matrix A is additively D-stable when A - D is Hurwitz for every
-nonnegative diagonal D. For n = 2 this is decided exactly; Metzler
-matrices reduce to a Hurwitz check; otherwise we look for a
-certificate (an admissible measure with mu(A) < 0) and, failing
-that, search for a destabilizing D. Absence of a counterexample
-never upgrades the verdict past "unknown".
+nonnegative diagonal D. The report decides it in this order:
+
+1. n = 2: exact (tr A < 0, det A > 0, a_ii <= 0).
+2. Metzler A: additive D-stability is Hurwitz stability.
+3. Block reduction: permuting A by the strongly connected components
+   of its pattern makes it block upper triangular, and the same
+   permutation keeps D diagonal, so the spectrum of A - D is the union
+   of the blocks' spectra: A is stable iff every irreducible diagonal
+   block is.
+4. Principal-minor falsifier: det(D - A) is multiaffine in d, and the
+   coefficient of prod_{i not in S} d_i is det(-A[S]); so a negative
+   principal minor of -A makes A - t 1_{S^c} unstable for large t, and
+   the first rung of a geometric ladder of t that crosses gives D.
+5. Certificate search: an admissible measure with mu(A) < 0.
+6. Pattern search for a destabilizing D.
+
+Absence of a counterexample never upgrades the verdict past "unknown".
 """
 
 from __future__ import annotations
@@ -47,6 +59,10 @@ from .norms import Lp, Scaled, ValidatedNorm, validate_norm_spec
 ADMISSIBILITY_TOL = 1e-9
 HURWITZ_TOL = 1e-9
 FALSIFY_THRESHOLD = 1e-6
+# Largest irreducible block whose 2^m - 1 principal minors are enumerated.
+MINOR_MAX_DIM = 8
+# The shifts t tried for one negative minor: (1 + ||B||_inf) * 2^k.
+_MINOR_LADDER = 2.0 ** np.arange(-4, 20)
 
 
 def is_hurwitz(A) -> bool:
@@ -512,6 +528,95 @@ def _destabilizer_2x2(A: np.ndarray) -> tuple[np.ndarray, str | None]:
     )
 
 
+def _irreducible_blocks(A: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the irreducible diagonal blocks of A: the strongly
+    connected components of the digraph with an edge i -> j iff
+    a_ij != 0, each sorted, in the order of their smallest index.
+
+    Reachability comes from squaring the boolean pattern until it stops
+    growing (at most ceil(log2 n) products).
+    """
+    n = A.shape[0]
+    reach = ((A != 0.0) | np.eye(n, dtype=bool)).astype(float)
+    while True:
+        grown = np.minimum(reach @ reach, 1.0)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    mutual = reach * reach.T > 0.0
+    blocks, seen = [], np.zeros(n, dtype=bool)
+    for i in range(n):
+        if not seen[i]:
+            block = mutual[i].nonzero()[0]
+            seen[block] = True
+            blocks.append(block)
+    return blocks
+
+
+def _block_stable(B: np.ndarray) -> bool:
+    """Exact sufficient test for one irreducible block: 2x2 passing the
+    exact test, or Metzler and Hurwitz (B - D is then Metzler and entrywise
+    below B, so its abscissa is no larger). A 1x1 block is Metzler: it is
+    stable iff b < -HURWITZ_TOL."""
+    m = B.shape[0]
+    if m == 2:
+        return bool(additive_d_stable_2x2(B))
+    off = B[~np.eye(m, dtype=bool)]
+    return bool(np.all(off >= 0.0)) and spectral_abscissa(B) < -HURWITZ_TOL
+
+
+def _minor_destabilizers(B: np.ndarray):
+    """For each negative principal minor det(-B[S]) in turn, yield the
+    smallest shift d = t 1_{S^c} on its ladder with
+    spectral_abscissa(B - diag(d)) > FALSIFY_THRESHOLD, if there is one.
+
+    All 2^m - 1 minors det(-B[S]) come from one stacked det over the
+    matrices with -B on S x S and the identity elsewhere. The subsets S
+    with a negative minor are taken by size, then by bitmask (bit i for
+    index i). Each gets one stacked _abscissa_many call over its ladder,
+    t on _MINOR_LADDER scaled by 1 + ||B||_inf. A minor whose sign is
+    rounding noise costs one ladder and yields nothing, and so does every
+    minor when ||B||_inf overflows.
+    """
+    m = B.shape[0]
+    with np.errstate(over="ignore"):
+        scale = 1.0 + float(np.abs(B).sum(axis=1).max())
+    if not np.isfinite(scale):
+        return
+    ladder = scale * _MINOR_LADDER
+    masks = sorted(range(1, 2**m), key=lambda s: (s.bit_count(), s))
+    inside = (np.array(masks)[:, None] >> np.arange(m)) & 1 == 1
+    minors = np.linalg.det(np.where(inside[:, :, None] & inside[:, None, :], -B, np.eye(m)))
+    for S in inside[minors < 0.0]:
+        rungs = np.outer(ladder, ~S) if not S.all() else np.zeros((1, m))
+        hits = (_abscissa_many(B, rungs) > FALSIFY_THRESHOLD).nonzero()[0]
+        if hits.size:
+            yield rungs[hits[0]]
+
+
+def _algebraic_report(A: np.ndarray) -> DStabilityReport | None:
+    """Block reduction, then the principal-minor falsifier on each block
+    not proven stable and no larger than MINOR_MAX_DIM; None when neither
+    decides. Every counterexample is padded with zeros to n and
+    re-verified on A itself."""
+    n = A.shape[0]
+    open_blocks = [b for b in _irreducible_blocks(A) if not _block_stable(A[np.ix_(b, b)])]
+    if not open_blocks:
+        return DStabilityReport("stable", "block_reduction")
+    for b in open_blocks:
+        if b.size > MINOR_MAX_DIM:
+            continue
+        for d in _minor_destabilizers(A[np.ix_(b, b)]):
+            D = np.zeros((n, n))
+            D[b, b] = d
+            s = spectral_abscissa(A - D)
+            if s > FALSIFY_THRESHOLD:
+                return DStabilityReport(
+                    "unstable", "principal_minor", counterexample=Counterexample(D, s)
+                )
+    return None
+
+
 def additive_d_stability_report(
     A,
     *,
@@ -520,8 +625,21 @@ def additive_d_stability_report(
     falsify_budget: int = 10_000,
     seed: int | np.random.Generator | None = DEFAULT_SEED,
 ) -> DStabilityReport:
-    """Composite pipeline: exact 2x2 test, Metzler reduction, certificate
-    search, falsifier, in that order. Verdicts are never upgraded on the
+    """Composite pipeline, in this order; the method label names the step
+    that decided.
+
+    * ``exact_2x2`` (n = 2) and ``metzler`` (off-diagonal >= 0): exact.
+    * ``block_reduction``: every irreducible diagonal block is stable. The
+      SCC permutation makes A block upper triangular and keeps D diagonal,
+      so spec(A - D) is the union of the blocks' spectra.
+    * ``principal_minor``: det(D - A) is multiaffine in d with the
+      coefficient det(-A[S]) on prod_{i not in S} d_i, so a negative
+      minor forces det(D - A) < 0, hence a real eigenvalue of A - D
+      above 0, once D = t 1_{S^c} is large; the D found is re-verified.
+    * ``admissible_certificate``: the certificate search (with `family`
+      when given), then ``falsified``: the pattern search.
+
+    Only the last two draw from `seed`. Verdicts are never upgraded on the
     strength of a failed search."""
     A = as_square_matrix(A)
     n = A.shape[0]
@@ -549,6 +667,10 @@ def additive_d_stability_report(
         return DStabilityReport(
             "unstable", "metzler", counterexample=Counterexample(np.zeros((n, n)), s0)
         )
+
+    decided = _algebraic_report(A)
+    if decided is not None:
+        return decided
 
     report = certify_additive_d_stability(A, family, budget, seed=seed)
     if report.verdict == "stable":

@@ -13,8 +13,11 @@ import pytest
 
 import logmeasure
 from logmeasure.cli import main
+from logmeasure.stability import DStabilityReport
 
-UNKNOWN_3X3 = [[0.0, -1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, -1.0]]
+# irreducible, and -A has every principal minor >= 0, so no exact path
+# decides it and both searches run dry
+UNKNOWN_3X3 = [[0.0, 2.0, -1.0], [0.0, -1.0, -1.0], [2.0, 2.0, -2.0]]
 
 
 def _run(capsys, *argv):
@@ -135,18 +138,18 @@ def test_dstable_exit_codes(capsys, tmp_path):
 
 
 def test_dstable_with_custom_family(capsys, tmp_path):
-    # 3x3 so the report has to rely on the supplied certificate family
-    doc = {
-        "matrix": [[-1.0, -3.0, 0.0], [1.0, -2.0, 0.0], [0.0, 0.0, -1.0]],
-        "family": [{"kind": "lp", "p": 2}],
-    }
+    # irreducible 3x3 with no negative principal minor of -A, so the
+    # report has to rely on the supplied certificate family
+    A = np.array([[-1.0, -3.0, 1.0], [1.0, -2.0, -1.0], [-1.0, 1.0, -1.0]])
+    doc = {"matrix": A.tolist(), "family": [{"kind": "lp", "p": 2}]}
     code, out, _ = _run(capsys, "dstable", "--in", _write_doc(tmp_path, doc))
     assert code == 0
     parsed = json.loads(out)
     assert parsed["method"] == "admissible_certificate"
     assert parsed["certificate"]["norm"] == {"kind": "lp", "p": 2}
+    # mu_2(A) is the top eigenvalue of the symmetric part
     assert parsed["certificate"]["mu"] == pytest.approx(
-        (-3.0 + np.sqrt(5.0)) / 2.0, abs=1e-9
+        np.linalg.eigvalsh((A + A.T) / 2.0).max(), abs=1e-9
     )
 
 
@@ -271,7 +274,11 @@ def test_integer_fields_refuse_non_integers_and_oversized_budgets(capsys, tmp_pa
         return SimpleNamespace(all_agree=True, to_jsonable=dict)
 
     monkeypatch.setattr("logmeasure.cli.equivalence_table", battery_stub)
-    monkeypatch.setattr("logmeasure.cli.additive_d_stability_report", lambda *a, **kw: started.append(kw))
+    def dstable_stub(A, **kw):
+        started.append(kw)
+        return DStabilityReport("stable", "stub")
+
+    monkeypatch.setattr("logmeasure.cli.additive_d_stability_report", dstable_stub)
     matrix = [[-1.0, 0.0], [0.0, -1.0]]
     norm = {"kind": "lp", "p": 1}
     refused = [
@@ -282,6 +289,9 @@ def test_integer_fields_refuse_non_integers_and_oversized_budgets(capsys, tmp_pa
         ("dstable", {"matrix": matrix, "budget": math.inf}),
         ("dstable", {"matrix": matrix, "budget": 1e300}),
         ("dstable", {"matrix": matrix, "budget": 2.5}),
+        ("dstable", {"matrix": matrix, "falsify_budget": math.inf}),
+        ("dstable", {"matrix": matrix, "falsify_budget": 2.5}),
+        ("dstable", {"matrix": matrix, "falsify_budget": 100_001}),
         ("measure", {"matrix": matrix, "norm": norm, "dim": math.inf}),
         ("classify", {"norm": norm, "dim": -math.inf}),
         ("classify", {"norm": norm, "dim": False}),
@@ -296,6 +306,10 @@ def test_integer_fields_refuse_non_integers_and_oversized_budgets(capsys, tmp_pa
     assert code == 0 and json.loads(out)["value"] == -1.0
     assert _run(capsys, "battery", "--in", _write_doc(tmp_path, {"budget": 10_000.0}))[0] == 0
     assert started == [{"budget": 10_000, "seed": logmeasure.DEFAULT_SEED}]
+
+    doc = {"matrix": matrix, "budget": 4, "falsify_budget": 100_000.0}
+    assert _run(capsys, "dstable", "--in", _write_doc(tmp_path, doc))[0] == 0
+    assert started[1] == {"family": None, "budget": 4, "falsify_budget": 100_000, "seed": logmeasure.DEFAULT_SEED}
 
 
 def test_import_loads_neither_scipy_optimize_nor_spatial():

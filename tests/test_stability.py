@@ -1,8 +1,11 @@
 """Admissible measures, perturbation bounds, and additive D-stability."""
 
+import time
+
 import numpy as np
 import pytest
 
+from logmeasure import stability
 from logmeasure import (
     CERTIFIABLE_MATRIX,
     FRAGILE_MATRIX,
@@ -28,6 +31,7 @@ from logmeasure import (
     spectral_abscissa,
     validate_norm_spec,
 )
+from logmeasure.stability import FALSIFY_THRESHOLD
 
 VIOLATION_TOL = 1e-6
 RNG = np.random.default_rng(77)
@@ -258,21 +262,39 @@ def test_falsify_gives_up_on_stable_matrix():
 
 
 def test_report_3x3_certificate_path():
-    A = np.array([[-1.0, -3.0, 0.0], [1.0, -2.0, 0.0], [0.0, 0.0, -1.0]])
+    # irreducible, and -A has no negative principal minor: only the
+    # certificate search can decide it (l_1 fails, l_2 certifies)
+    A = np.array([[-1.0, -3.0, 1.0], [1.0, -2.0, -1.0], [-1.0, 1.0, -1.0]])
     rep = additive_d_stability_report(A, seed=0)
     assert rep.verdict == "stable"
     assert rep.method == "admissible_certificate"
+    assert rep.certificate.mu == pytest.approx(
+        np.linalg.eigvalsh((A + A.T) / 2.0).max(), abs=1e-9
+    )
     assert rep.certificate.mu < 0.0
 
 
 def test_report_unknown_when_budgets_run_out():
-    # D-stable (block triangular, rotation block has a zero diagonal entry)
-    # so the falsifier cannot win, and the zero diagonal entry blocks every
-    # admissible-measure certificate
-    A = np.array([[0.0, -1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
+    # irreducible and -A in P0+ (every principal minor >= 0, det(-A) > 0),
+    # so neither exact path decides it; no grid point destabilizes it
+    # either, and the two small budgets run dry
+    A = np.array([[0.0, 2.0, -1.0], [0.0, -1.0, -1.0], [2.0, 2.0, -2.0]])
+    assert falsify_on_grid(A, d_max=40.0) is None
     rep = additive_d_stability_report(A, budget=6, falsify_budget=300, seed=0)
     assert rep.verdict == "unknown"
     assert rep.method == "budget_exhausted"
+
+
+def test_reducible_matrices_are_decided_by_their_blocks():
+    # the two block-triangular matrices the searches used to face: a 2x2
+    # block passing the exact test beside a stable 1x1 block
+    for A in (
+        [[-1.0, -3.0, 0.0], [1.0, -2.0, 0.0], [0.0, 0.0, -1.0]],
+        [[0.0, -1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, -1.0]],
+    ):
+        rep = additive_d_stability_report(np.array(A), seed=0)
+        assert (rep.verdict, rep.method) == ("stable", "block_reduction")
+        assert rep.certificate is None and rep.counterexample is None
 
 
 def test_report_json_shape():
@@ -318,3 +340,166 @@ def test_report_counterexamples_always_reverify():
         elif rep.verdict == "unstable":
             # marginal case: the matrix fails at D = 0 without a strict margin
             assert spectral_abscissa(A) >= -1e-9
+
+
+# ----------------------------------------------- block reduction and minors
+
+# Verdicts of the certify-then-falsify pipeline without the exact pre-pass
+# (default budgets, seed 0) on RANDOM_HURWITZ, in order: S stable,
+# U unstable, ? unknown.
+PIPELINE_VERDICTS = (
+    "?USUSSSSSS?SSUSUUSUUSSSSSSSSSS?S?US?SU?SU?SSU?USS?SS??SSU?SSSS?SUUSU?UUSS"
+    "USUUSSSSS?SUSSUSSSS?S?SSSSSS?S?US?SSSSSU?S?SSSSSUUS?USUSS??US?UU?SS?SS?SS"
+    "SU?U?SUUSUSSS??SSSSSSUSUU?S"
+)
+VERDICT_CODES = {"stable": "S", "unstable": "U", "unknown": "?"}
+
+
+def _random_hurwitz():
+    """The Hurwitz, non-Metzler matrices among 300 draws of randn - 1.5 I
+    with n in 3..5 (seed 0)."""
+    rng = np.random.default_rng(0)
+    out = []
+    for _ in range(300):
+        n = int(rng.integers(3, 6))
+        A = rng.standard_normal((n, n)) - 1.5 * np.eye(n)
+        if spectral_abscissa(A) < -1e-9 and np.any(A[~np.eye(n, dtype=bool)] < 0.0):
+            out.append(A)
+    return out
+
+
+RANDOM_HURWITZ = _random_hurwitz()
+
+
+def _prepass(A):
+    """The report with both searches given nothing to do: an exact verdict
+    when the pre-pass decides, ("unknown", "budget_exhausted") otherwise."""
+    return additive_d_stability_report(A, family=[], falsify_budget=0)
+
+
+def _block_triangular(rng, n, blocks=(1, 2)):
+    """Permuted block upper triangular, non-Metzler, with diagonal blocks
+    that pass their exact test: 1x1 negative, 2x2 rotations with damping."""
+    A = np.triu(rng.uniform(-20.0, 20.0, (n, n)), 1)
+    i = 0
+    while i < n:
+        m = min(int(rng.choice(blocks)), n - i)
+        if m == 1:
+            A[i, i] = -rng.uniform(0.5, 2.0)
+        else:
+            w, damp = rng.uniform(0.5, 3.0), rng.uniform(0.1, 1.0)
+            A[i : i + 2, i : i + 2] = [[0.0, w], [-w, -damp]]
+        i += m
+    A[0, -1] = -abs(A[0, -1]) - 1.0
+    P = np.eye(n)[rng.permutation(n)]
+    return P @ A @ P.T
+
+
+def test_prepass_agrees_with_the_search_pipeline():
+    assert len(RANDOM_HURWITZ) == len(PIPELINE_VERDICTS) == 173
+    moved = {}
+    for A, before in zip(RANDOM_HURWITZ, PIPELINE_VERDICTS):
+        pre = _prepass(A)
+        key = (before, VERDICT_CODES[pre.verdict], pre.method)
+        moved[key] = moved.get(key, 0) + 1
+        if pre.verdict == "unstable":
+            D = pre.counterexample.D
+            assert np.array_equal(D, np.diag(np.diag(D))) and np.all(np.diag(D) >= 0.0)
+            assert spectral_abscissa(A - D) > FALSIFY_THRESHOLD
+            assert pre.counterexample.abscissa == spectral_abscissa(A - D)
+        if before != "?":
+            # the pre-pass draws nothing from the seed, so a search that
+            # still runs sees the stream it saw before
+            assert VERDICT_CODES[additive_d_stability_report(A, seed=0).verdict] == before
+    # dense random matrices are irreducible: the minor test takes every
+    # matrix the pattern search destabilized and four it did not, and
+    # leaves every certified one to the certificate search
+    assert moved == {
+        ("S", "?", "budget_exhausted"): 99,
+        ("U", "U", "principal_minor"): 40,
+        ("?", "?", "budget_exhausted"): 30,
+        ("?", "U", "principal_minor"): 4,
+    }
+
+
+def test_block_reduction_verdicts_survive_the_grid():
+    rng = np.random.default_rng(5)
+    for k in range(12):
+        A = _block_triangular(rng, 3 + k % 4)
+        rep = _prepass(A)
+        assert (rep.verdict, rep.method) == ("stable", "block_reduction")
+        assert falsify_on_grid(A, d_max=40.0, grid=20, extra=200, seed=k) is None
+
+
+def test_prepass_verdicts_are_permutation_invariant():
+    rng = np.random.default_rng(9)
+    cases = RANDOM_HURWITZ + [_block_triangular(rng, n) for n in (3, 4, 5, 6)]
+    # a reducible matrix with one unstable block: a_11 > 0 in a 3x3 block
+    U = np.array([[1.0, -4.0, 2.0], [3.0, -2.0, -1.0], [-2.0, 1.0, -3.0]])
+    cases.append(np.block([[U, rng.uniform(-1.0, 1.0, (3, 2))], [np.zeros((2, 3)), -np.eye(2)]]))
+    for A in cases:
+        rep = _prepass(A)
+        P = np.eye(A.shape[0])[rng.permutation(A.shape[0])]
+        moved = _prepass(P @ A @ P.T)
+        assert (moved.verdict, moved.method) == (rep.verdict, rep.method)
+    assert _prepass(cases[-1]).method == "principal_minor"
+
+
+def test_minor_test_never_fires_on_certified_constructions():
+    """Negative diagonal dominating rows and columns, and skew - cI: -A is a
+    P-matrix in both, so no principal minor of -A is negative."""
+    rng = np.random.default_rng(21)
+    for n in (3, 4, 5, 6):
+        for _ in range(10):
+            A = rng.uniform(-1.0, 1.0, (n, n))
+            np.fill_diagonal(A, 0.0)
+            A[0, 1] = -abs(A[0, 1]) - 0.1
+            c = max(np.abs(A).sum(axis=0).max(), np.abs(A).sum(axis=1).max())
+            dominant = A - (c + rng.uniform(0.5, 1.5)) * np.eye(n)
+            U = np.triu(rng.uniform(-3.0, 3.0, (n, n)), 1)
+            skew = U - U.T - rng.uniform(0.5, 1.5) * np.eye(n)
+            for M in (dominant, skew):
+                assert list(stability._minor_destabilizers(M)) == []
+                assert additive_d_stability_report(M, seed=0).method == "admissible_certificate"
+
+
+def test_blocks_above_minor_max_dim_enumerate_no_subsets(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        stability, "_minor_destabilizers", lambda B: calls.append(B.shape) or iter(())
+    )
+    n = stability.MINOR_MAX_DIM + 1
+    # irreducible (cyclic coupling) and non-Metzler, a_11 > 0
+    A = -2.0 * np.eye(n) + np.roll(np.eye(n), 1, axis=1) * -1.5 + np.roll(np.eye(n), -1, axis=1)
+    A[0, 0] = 0.5
+    assert len(stability._irreducible_blocks(A)) == 1
+    rep = _prepass(A)
+    assert (rep.verdict, calls) == ("unknown", [])
+    # the tridiagonal block one size smaller reaches the kernel
+    _prepass(A[:-1, :-1])
+    assert calls == [(n - 1, n - 1)]
+
+
+def test_minor_ladder_skips_blocks_whose_norm_overflows():
+    # a_11 > 0 gives a negative minor, but 1 + ||B||_inf is inf: no
+    # ladder is built, so no shift of inf * 0 = nan reaches the eigensolver
+    big = 1e308
+    B = np.array([[1.0, big, big], [-big, -1.0, 1.0], [-big, 1.0, -1.0]])
+    assert list(stability._minor_destabilizers(B)) == []
+
+
+def test_forty_one_by_one_blocks_decided_in_milliseconds(monkeypatch):
+    def searched(*a, **kw):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(stability, "_minor_destabilizers", searched)
+    monkeypatch.setattr(stability, "certify_additive_d_stability", searched)
+    rng = np.random.default_rng(40)
+    A = np.triu(rng.uniform(-5.0, 5.0, (40, 40)), 1) - np.diag(rng.uniform(0.5, 2.0, 40))
+    P = np.eye(40)[rng.permutation(40)]
+    A = P @ A @ P.T
+    start = time.perf_counter()
+    rep = additive_d_stability_report(A)
+    elapsed = time.perf_counter() - start
+    assert (rep.verdict, rep.method) == ("stable", "block_reduction")
+    assert elapsed < 0.25, elapsed
