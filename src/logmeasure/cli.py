@@ -184,12 +184,15 @@ def _require(doc: dict, key: str):
 
 def _integer(doc: dict, key: str, default, cap: int | None = None) -> int:
     """doc[key] (default when absent): an int but not a bool, or an
-    integral float; anything else, or a value above cap, is a bad input."""
+    integral float; anything else, a negative value, or a value above cap,
+    is a bad input."""
     v = doc.get(key, default)
     if isinstance(v, float) and v.is_integer():
         v = int(v)
     if isinstance(v, bool) or not isinstance(v, int):
         raise ValueError(f"{key!r} must be an integer, got {v!r}")
+    if v < 0:
+        raise ValueError(f"{key!r} is {v}, below 0")
     if cap is not None and v > cap:
         raise ValueError(f"{key!r} is {v}, above the cap of {cap}")
     return v

@@ -206,14 +206,29 @@ class _Polytope:
         return (E @ self._diag_weights).max(axis=1)
 
 
+_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
+
+
 def _lp_eval_many(p: float, X: np.ndarray) -> np.ndarray:
+    """|x|_p of each row of X.
+
+    A generic p is evaluated as m (sum_i (|x_i|/m)^p)^(1/p) with m = max_i |x_i|:
+    every ratio is at most 1 and the sum lies in [1, n], so no power
+    overflows however large p or the entries are. The divisor is m clipped
+    to the normal range, so rows of zeros give 0 and rows holding an inf
+    give inf, with no 0/0 or inf/inf. The work runs on the transpose, as
+    numpy reduces across rows much faster than along short ones.
+    """
     if p == math.inf:
         return np.abs(X).max(axis=1)
     if p == 1:
         return np.abs(X).sum(axis=1)
     if p == 2:
         return np.linalg.norm(X, axis=1)
-    return (np.abs(X) ** p).sum(axis=1) ** (1.0 / p)
+    a = np.abs(X.T, order="C")
+    m = a.max(axis=0)
+    s = np.minimum(np.maximum(m, _TINY), _HUGE)
+    return m * ((a / s) ** p).sum(axis=0) ** (1.0 / p)
 
 
 def _lp_ball_vertices(p: float, n: int) -> np.ndarray:

@@ -258,6 +258,13 @@ def test_hostile_values_exit_65_without_traceback(capsys, tmp_path):
     assert (code, out) == (65, "")
     assert "Traceback" not in err
 
+    # the l_p bracket refuses entries whose absolute sum overflows
+    for op in ("measure", "norm"):
+        doc = {"op": op, "matrix": [[1e308, 1e308], [0.0, 1.0]], "norm": {"kind": "lp", "p": 3}}
+        code, out, err = _run(capsys, "measure", "--in", _write_doc(tmp_path, doc, "huge.json"))
+        assert (code, out) == (65, "")
+        assert "Traceback" not in err and "Warning" not in err
+
     doc = {"matrix": [[-1.0, 0.0], [0.0, -1.0]], "D": [1.0, 1.0], "x0": [1.0, 0.0], "z0": [0.0, 1.0]}
     for horizon, dt in (("inf", 0.01), (30.0, "nan"), (1e12, 0.01)):
         path = _write_doc(tmp_path, {**doc, "horizon": horizon, "dt": dt}, "grid.json")
@@ -295,6 +302,10 @@ def test_integer_fields_refuse_non_integers_and_oversized_budgets(capsys, tmp_pa
         ("measure", {"matrix": matrix, "norm": norm, "dim": math.inf}),
         ("classify", {"norm": norm, "dim": -math.inf}),
         ("classify", {"norm": norm, "dim": False}),
+        ("classify", {"norm": norm, "dim": -2}),
+        ("battery", {"budget": -1}),
+        ("dstable", {"matrix": [[0, 2, -1], [0, -1, -1], [2, 2, -2]], "budget": -5, "falsify_budget": -1}),
+        ("dstable", {"matrix": matrix, "falsify_budget": -1}),
     ]
     for cmd, doc in refused:
         code, out, err = _run(capsys, cmd, "--in", _write_doc(tmp_path, doc))
@@ -310,6 +321,18 @@ def test_integer_fields_refuse_non_integers_and_oversized_budgets(capsys, tmp_pa
     doc = {"matrix": matrix, "budget": 4, "falsify_budget": 100_000.0}
     assert _run(capsys, "dstable", "--in", _write_doc(tmp_path, doc))[0] == 0
     assert started[1] == {"family": None, "budget": 4, "falsify_budget": 100_000, "seed": logmeasure.DEFAULT_SEED}
+
+
+def test_huge_p_measure_brackets_the_linf_value(capsys, tmp_path):
+    # p = 1e308 used to overflow |x|^p: a RuntimeWarning and a value of -1,024,000
+    # the l_inf values, measure -0.5 and norm 1.5, are the limits as p grows
+    doc = {"matrix": [[-1, 0.5], [0.2, -1]], "norm": {"kind": "lp", "p": 1e308}}
+    for op, linf in (("measure", -0.5), ("norm", 1.5)):
+        code, out, err = _run(capsys, "measure", "--in", _write_doc(tmp_path, {**doc, "op": op}))
+        assert (code, err) == (0, ""), op
+        res = json.loads(out)
+        assert res["method"] == "estimated"
+        assert res["value"] <= linf <= res["value"] + res["error_bound"], op
 
 
 def test_import_loads_neither_scipy_optimize_nor_spatial():

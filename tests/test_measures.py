@@ -1,6 +1,10 @@
 """Induced norms, matrix measures, and the inequalities tying them together."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +13,14 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import logmeasure
 from logmeasure import (
     FRAGILE_MATRIX,
     Lp,
     NoExactPath,
+    PiecewiseOrthant,
     Polyhedral,
+    Scaled,
     check_measure_sandwich,
     hexagon_spec,
     induced_matrix_norm,
@@ -240,9 +247,155 @@ def test_estimated_route_on_diagonal_matrices():
         assert rm.value == pytest.approx(np.max(d), abs=rm.error_bound + 1e-4)
 
 
+def test_piecewise_residue_keeps_the_quotient_estimator():
+    # above the reconstruction cap a piecewise norm has neither a polytope
+    # nor an l_p core; all-l_1 cases glue to l_1, where mu(D) = max d_ii
+    cases = {"".join(s): Lp(1.0) for s in itertools.product("+-", repeat=4)}
+    norm = validate_norm_spec(PiecewiseOrthant(cases))
+    assert norm.route == "estimated" and norm.core_p is None
+    rm = matrix_measure(np.diag([0.5, -1.0, 2.0, -3.0]), norm, seed=1)
+    assert rm.method == "estimated" and rm.h_used is not None
+    assert "h_used" in rm.to_jsonable()
+    assert rm.value == pytest.approx(2.0, abs=rm.error_bound + 1e-6)
+
+
 def test_estimated_route_is_seed_deterministic():
     norm3 = validate_norm_spec(Lp(3.0), dim=2)
     A = np.array([[0.3, -1.2], [0.7, 0.1]])
     a = induced_matrix_norm(A, norm3, seed=5).value
     b = induced_matrix_norm(A, norm3, seed=5).value
     assert a == b
+
+
+# ------------------------------------------------------- the l_p bracket
+
+
+def _lp_rows(p: float, X: np.ndarray) -> np.ndarray:
+    a = np.abs(X)
+    m = a.max(axis=1, keepdims=True)
+    return m[:, 0] * ((a / np.where(m > 0, m, 1.0)) ** p).sum(axis=1) ** (1.0 / p)
+
+
+def _swept_quantity(M: np.ndarray, p: float, measure: bool) -> float:
+    """max over the unit circle of |Mx|_p/|x|_p, or of Lumer's phi(x).Mx/|x|_p,
+    taken at p itself (no duality), on a grid refined twice around its best
+    angle: a value at most the true one, and close to it."""
+    t = np.linspace(0.0, np.pi, 20001)
+    for _ in range(3):
+        X = np.column_stack([np.cos(t), np.sin(t)])
+        nx = _lp_rows(p, X)
+        if measure:
+            phi = np.sign(X) * (np.abs(X) / nx[:, None]) ** (p - 1)
+            v = (phi * (X @ M.T)).sum(axis=1) / nx
+        else:
+            v = _lp_rows(p, X @ M.T) / nx
+        i = int(np.argmax(v))
+        best, step = float(v[i]), t[1] - t[0]
+        t = np.linspace(t[i] - step, t[i] + step, 2001)
+    return best
+
+
+def _riesz_thorin_caps(M: np.ndarray, p: float, measure: bool) -> float:
+    """Interpolation caps at p itself: between l_1 and l_inf, and between
+    l_2 and the far end point."""
+    one, two, inf = (_closed_form(M, r, measure) for r in (1.0, 2.0, np.inf))
+    th = 1.0 / p
+    if p >= 2:
+        th2, far = 2.0 / p, inf
+    else:
+        th2, far = 2.0 - 2.0 / p, one  # 1/p = th2/2 + (1 - th2)/1
+    if measure:
+        return min(th * one + (1 - th) * inf, th2 * two + (1 - th2) * far)
+    return min(one**th * inf ** (1 - th), two**th2 * far ** (1 - th2))
+
+
+def _bracket(r) -> tuple[float, float]:
+    assert r.method == "estimated" and r.error_bound > 0 and r.h_used is None
+    return r.value, r.value + r.error_bound
+
+
+def test_lp_bracket_holds_the_diagonal_values():
+    # mu_p(D) = max d_i and ||D||_p = max |d_i| for every p
+    for n in range(1, 6):
+        for p in (1.5, 3.0, 7.0):
+            norm = validate_norm_spec(Lp(p), dim=n)
+            d = RNG.uniform(-4.0, 4.0, size=n)
+            lo, hi = _bracket(matrix_measure(np.diag(d), norm, seed=3))
+            assert lo <= d.max() <= hi
+            lo, hi = _bracket(induced_matrix_norm(np.diag(d), norm, seed=3))
+            assert lo <= np.abs(d).max() <= hi
+            lo, hi = _bracket(induced_matrix_norm(np.zeros((n, n)), norm, seed=3))
+            assert lo == 0.0 < hi
+
+
+@pytest.mark.parametrize("p", [1.001, 1.5, 3.0, 4.0, 50.0, 1e6])
+def test_lp_bracket_holds_the_swept_value_in_2d(p):
+    rng = np.random.default_rng(int(p * 1000) % 2**32)
+    for scaled in (False, True):
+        A = rng.uniform(-2.0, 2.0, (2, 2))
+        T = np.array([[1.0, 0.6], [-0.3, 1.5]]) if scaled else np.eye(2)
+        norm = validate_norm_spec(Scaled(T, Lp(p)) if scaled else Lp(p), dim=2)
+        M = T @ A @ np.linalg.inv(T)
+        tol = 1e-9 * np.abs(M).sum()
+        for measure, fn in ((True, matrix_measure), (False, induced_matrix_norm)):
+            lo, hi = _bracket(fn(A, norm))
+            swept = _swept_quantity(M, p, measure)
+            # swept is at most the truth, which lo must not exceed
+            assert lo <= swept + tol and swept <= hi, (p, scaled, measure, lo, swept, hi)
+            assert hi <= _riesz_thorin_caps(M, p, measure) + tol
+
+
+def test_lp_bracket_is_tight_in_2d_for_moderate_p():
+    A = np.array([[0.3, -1.2], [0.7, 0.1]])
+    for p in (1.5, 3.0, 4.0):
+        norm = validate_norm_spec(Lp(p), dim=2)
+        for fn in (matrix_measure, induced_matrix_norm):
+            assert fn(A, norm).error_bound <= 1e-5
+
+
+def test_lp_bracket_never_exceeds_the_interpolation_caps():
+    for n in (2, 3, 4):
+        for p in (1.2, 1.5, 3.0, 6.0):
+            A = RNG.standard_normal((n, n))
+            norm = validate_norm_spec(Lp(p), dim=n)
+            tol = 1e-12 * np.abs(A).sum()
+            for measure, fn in ((True, matrix_measure), (False, induced_matrix_norm)):
+                lo, hi = _bracket(fn(A, norm, seed=2))
+                assert hi <= _riesz_thorin_caps(A, p, measure) + tol
+            assert spectral_abscissa(A) <= hi + tol
+
+
+def test_lp_bracket_dual_exponents_overlap():
+    # ||I + hA||_p = ||I + hA^T||_q, so mu_p(A) = mu_q(A^T)
+    for n in (2, 3):
+        A = RNG.standard_normal((n, n))
+        for p in (1.5, 3.0):
+            q = p / (p - 1)
+            a = _bracket(matrix_measure(A, validate_norm_spec(Lp(p), dim=n), seed=4))
+            b = _bracket(matrix_measure(A.T, validate_norm_spec(Lp(q), dim=n), seed=4))
+            assert max(a[0], b[0]) <= min(a[1], b[1])
+
+
+def test_lp_bracket_is_bit_identical_for_a_seed():
+    A = np.array([[-1.0, 2.0, 0.0], [0.5, -2.0, 1.0], [0.0, 1.0, -3.0]])
+    norm = validate_norm_spec(Scaled(np.diag([1.0, 2.0, 0.5]), Lp(3.0)), dim=3)
+    for fn in (matrix_measure, induced_matrix_norm):
+        a, b = fn(A, norm, seed=9), fn(A, norm, seed=9)
+        assert (a.value, a.error_bound) == (b.value, b.error_bound)
+
+
+def test_lp_bracket_needs_no_scipy_optimize():
+    src = str(Path(logmeasure.__file__).resolve().parents[1])
+    probe = (
+        "import sys, numpy as np, logmeasure as lm\n"
+        "for n in (2, 3):\n"
+        "    for spec in (lm.Lp(3.0), lm.Scaled(np.eye(n) * 2, lm.Lp(1.5))):\n"
+        "        norm = lm.validate_norm_spec(spec, dim=n)\n"
+        "        A = np.arange(n * n, dtype=float).reshape(n, n) - 3\n"
+        "        lm.matrix_measure(A, norm), lm.induced_matrix_norm(A, norm)\n"
+        "        lm.estimate_induced_norm(A, norm)\n"
+        "print('scipy.optimize' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "False"

@@ -63,6 +63,16 @@ def test_lp_routes():
     assert validate_norm_spec(Lp(3.0)).route == "estimated"
 
 
+def test_lp_evaluation_does_not_overflow():
+    norm = validate_norm_spec(Lp(3.0), dim=2)
+    v = norm.evaluate_many(np.array([[1e200, 1e200], [0.0, 0.0], [3.0, -4.0]]))
+    assert np.all(np.isfinite(v))
+    assert v[0] == pytest.approx(2 ** (1 / 3) * 1e200, rel=1e-14)
+    assert v[1] == 0.0 and v[2] == pytest.approx(91 ** (1 / 3), rel=1e-14)
+    huge = validate_norm_spec(Lp(1e308), dim=2)
+    assert huge.evaluate_many(np.array([[2.0, -3.0]]))[0] == 3.0
+
+
 def test_scaled_rejects_singular_T():
     T = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularScaling):
