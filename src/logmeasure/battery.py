@@ -102,7 +102,6 @@ class BatteryReport:
 
 
 def equivalence_table(
-    budget: int = 200,
     *,
     seed: int | np.random.Generator | None = DEFAULT_SEED,
 ) -> BatteryReport:
@@ -121,7 +120,7 @@ def equivalence_table(
                 name,
                 is_absolute(norm, seed=rng),
                 is_orthant_monotonic(norm, seed=rng),
-                is_admissible_measure(norm, budget=budget, seed=rng),
+                is_admissible_measure(norm, seed=rng),
             )
         )
     return BatteryReport(rows)

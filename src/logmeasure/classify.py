@@ -9,27 +9,26 @@ hexagon norm (l_inf on agreeing signs, l_1 otherwise) shows the
 converse fails.
 
 Exactness hierarchy: polytope-ball norms and scaled l_1/l_2/l_inf norms
-are decided exactly (finite vertex or closed-form operator checks);
-everything else falls back to seeded sampling with exact=False on a
-pass. A counterexample found by any route makes the verdict exact: the
-witness re-checks by direct evaluation.
+are decided exactly, by n checks each: the sign diagonals are generated
+by the n single flips and the 0/1 diagonals by the n projections, so
+convexity reduces every condition to those (closed-form operator norms,
+or the extreme points of the ball). Everything else falls back to
+seeded sampling with exact=False on a pass. A counterexample found by
+any route makes the verdict exact: the witness re-checks by direct
+evaluation.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .common import DEFAULT_SEED, TOL_EXACT, _sample_nonneg_diagonals, as_rng
+from .common import DEFAULT_SEED, TOL_EXACT, as_rng
 from .errors import DimensionMismatch, NoExactPath, UnsupportedDimension
 from .measures import _closed_norm_many, induced_matrix_norm
 from .norms import MAX_SIGN_ENUM_DIM, ValidatedNorm
-
-# Sign-diagonal enumeration cost is 2**n; beyond this we sample instead.
-MAX_SIGN_DIAG_DIM = 20
 
 # Sampled vectors behind a classifier verdict with no exact route.
 _SAMPLES = 10_000
@@ -74,54 +73,59 @@ def _require_dim(norm: ValidatedNorm) -> int:
     return norm.dim
 
 
-def _sign_patterns(n: int):
-    return itertools.product((1.0, -1.0), repeat=n)
-
-
 def is_absolute(
     norm: ValidatedNorm,
     *,
     seed: int | np.random.Generator | None = DEFAULT_SEED,
 ) -> Verdict:
-    """Decide |x| = |abs(x)| for all x."""
+    """Decide |x| = |abs(x)| for all x.
+
+    The norm is absolute iff every sign diagonal is an isometry. Those
+    form a group generated by the single flips S_i, and ||S_i|| >= 1
+    since S_i^2 = I, so it is enough that ||S_i|| = 1 for each i (on a
+    polytope: S_i keeps every extreme point on the unit sphere). The
+    flips are checked in the order S_n, ..., S_1, so the first failing
+    flip is the first failing pattern of the 2^n sign patterns listed
+    with the last sign varying fastest; checks_run counts the flips read
+    (times the vertex count on a polytope).
+    """
     if norm.kind == "lp":
         # l_p norms depend on entry magnitudes only.
         return Verdict(True, True, None, 0)
     n = _require_dim(norm)
-    if norm.route in ("scaled_closed", "polyhedral") and n > MAX_SIGN_DIAG_DIM:
-        raise UnsupportedDimension(
-            f"sign-diagonal enumeration is 2**n; capped at n={MAX_SIGN_DIAG_DIM}"
-        )
+    # row k flips coordinate n - 1 - k
+    signs = 1.0 - 2.0 * np.eye(n)[::-1]
 
     if norm.route == "scaled_closed":
-        # Absolute iff every sign diagonal has induced norm 1. One at a time:
-        # a stack of all 2**n diagonals would not fit in memory at the cap.
-        checks = 0
-        for signs in _sign_patterns(n):
-            S = np.diag(signs)
-            checks += 1
-            val = induced_matrix_norm(S, norm).value
-            if abs(val - 1.0) > TOL_EXACT:
-                return Verdict(False, True, _sign_normalize(S), checks)
-        return Verdict(True, True, None, checks)
+        idx = np.arange(n)
+        S = np.zeros((n, n, n))
+        S[:, idx, idx] = signs
+        vals = _closed_norm_many(S, norm)
+        # the first flip a one-at-a-time check stops at: a violation, or
+        # a non-finite norm, which it reports as an error
+        stop = ~np.isfinite(vals) | (np.abs(vals - 1.0) > TOL_EXACT)
+        if not stop.any():
+            return Verdict(True, True, None, n)
+        k = int(np.argmax(stop))
+        if not np.isfinite(vals[k]):
+            raise ValueError(f"non-finite result value {vals[k]}")
+        return Verdict(False, True, _sign_normalize(np.diag(signs[k])), k + 1)
 
     if norm._polytope is not None:
         V = norm._polytope.vertices
-        # Sign flips must keep every extreme point on the unit sphere.
-        checks = 0
-        for signs in _sign_patterns(n):
-            s = np.asarray(signs)
-            vals = norm.evaluate_many(V * s[None, :])
-            checks += V.shape[0]
-            bad = np.abs(vals - 1.0) > TOL_EXACT
-            if np.any(bad):
-                v = V[int(np.argmax(bad))]
-                if abs(float(norm.evaluate_many(np.abs(v)[None, :])[0]) - 1.0) > TOL_EXACT:
-                    witness = v
-                else:
-                    witness = v * s
-                return Verdict(False, True, _sign_normalize(witness), checks)
-        return Verdict(True, True, None, checks)
+        m = V.shape[0]
+        # every flip of every extreme point in one call, flip-major
+        vals = norm.evaluate_many((signs[:, None, :] * V).reshape(n * m, n)).reshape(n, m)
+        bad = np.abs(vals - 1.0) > TOL_EXACT
+        if not bad.any():
+            return Verdict(True, True, None, n * m)
+        k = int(np.argmax(bad.any(axis=1)))
+        v = V[int(np.argmax(bad[k]))]
+        if abs(float(norm.evaluate_many(np.abs(v)[None, :])[0]) - 1.0) > TOL_EXACT:
+            witness = v
+        else:
+            witness = v * signs[k]
+        return Verdict(False, True, _sign_normalize(witness), (k + 1) * m)
 
     rng = as_rng(seed)
     X = rng.standard_normal((_SAMPLES, n))
@@ -163,9 +167,9 @@ def is_orthant_monotonic(
         # Absolute norms are orthant-monotonic.
         return Verdict(True, True, None, 0)
     n = _require_dim(norm)
+    idx = np.arange(n)
 
     if norm.route == "scaled_closed":
-        idx = np.arange(n)
         P = np.repeat(np.eye(n)[None], n, axis=0)
         P[idx, idx, idx] = 0.0
         vals = _closed_norm_many(P, norm)
@@ -182,16 +186,15 @@ def is_orthant_monotonic(
 
     if norm._polytope is not None:
         V = norm._polytope.vertices
-        checks = 0
-        for j in range(n):
-            W = V.copy()
-            W[:, j] = 0.0
-            vals = norm.evaluate_many(W)
-            checks += V.shape[0]
-            bad = vals > 1.0 + TOL_EXACT
-            if np.any(bad):
-                return Verdict(False, True, _sign_normalize(V[int(np.argmax(bad))]), checks)
-        return Verdict(True, True, None, checks)
+        m = V.shape[0]
+        # every projection of every extreme point in one call, j-major
+        W = np.repeat(V[None], n, axis=0)
+        W[idx, :, idx] = 0.0
+        bad = (norm.evaluate_many(W.reshape(n * m, n)) > 1.0 + TOL_EXACT).reshape(n, m)
+        if not bad.any():
+            return Verdict(True, True, None, n * m)
+        j = int(np.argmax(bad.any(axis=1)))
+        return Verdict(False, True, _sign_normalize(V[int(np.argmax(bad[j]))]), (j + 1) * m)
 
     rng = as_rng(seed)
     X = rng.standard_normal((_SAMPLES, n))
@@ -208,31 +211,29 @@ def is_orthant_monotonic(
     return Verdict(True, False, None, checks)
 
 
-def diag_norm_identity_check(
-    norm: ValidatedNorm,
-    *,
-    seed: int | np.random.Generator | None = DEFAULT_SEED,
-) -> Verdict:
-    """Check ||D|| = max_i d_ii over 100 sampled nonnegative diagonal matrices
-    (more when n > 32, so that every structured diagonal runs).
+def diag_norm_identity_check(norm: ValidatedNorm) -> Verdict:
+    """Decide ||D|| = max_i d_ii for every nonnegative diagonal D.
 
-    Holds for all of them iff the norm is orthant-monotonic, so this is
-    the operator-side probe of that classification. Sampling makes a pass
-    inexact; a violating D is an exact counterexample.
+    ||D|| >= |D e_i| / |e_i| = d_i always. d -> ||diag d|| is convex, so
+    on the box [0, max d]^n it peaks at max d times a 0/1 diagonal, which
+    is a product of the coordinate-deleting projections P_j. So the
+    identity holds iff ||P_j|| <= 1 for every j: the operator side of
+    orthant monotonicity, decided exactly by n induced norms (none for a
+    bare l_p norm, which is absolute). On the scaled_closed route these
+    are the projection norms is_orthant_monotonic computes. The witness
+    is the first P_j with ||P_j|| > 1.
     """
     if norm.route == "estimated":
         raise NoExactPath("diagonal identity check requires an exact induced-norm route")
     n = _require_dim(norm)
+    if norm.kind == "lp":
+        return Verdict(True, True, None, 0)
     if n > MAX_SIGN_ENUM_DIM and norm.route == "polyhedral":
         raise UnsupportedDimension("vertex sets unavailable at this dimension")
 
-    diags = _sample_nonneg_diagonals(n, max(100, 3 * n + 2), as_rng(seed))
-    # One at a time: a stack of polytope scores would hold k x F x V entries.
-    checks = 0
-    for d in diags:
-        D = np.diag(d)
-        checks += 1
-        val = induced_matrix_norm(D, norm).value
-        if abs(val - float(d.max())) > TOL_EXACT:
-            return Verdict(False, True, D, checks)
-    return Verdict(True, False, None, checks)
+    for j in range(n):
+        P = np.eye(n)
+        P[j, j] = 0.0
+        if abs(induced_matrix_norm(P, norm).value - float(P.max())) > TOL_EXACT:
+            return Verdict(False, True, P, j + 1)
+    return Verdict(True, True, None, n)

@@ -50,24 +50,6 @@ def as_square_matrix(A, dim: int | None = None) -> np.ndarray:
     return M
 
 
-def _sample_nonneg_diagonals(n: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Structured diagonals first (they catch the known failure modes), then
-    log-uniform fill with occasional exact zeros."""
-    diags: list[np.ndarray] = [np.arange(1.0, n + 1.0), np.ones(n)]
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        diags.append(e)
-        diags.append(2.0 * e)
-        diags.append(np.ones(n) - e)
-    while len(diags) < count:
-        d = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), n))
-        if rng.random() < 0.2:
-            d[rng.integers(n)] = 0.0
-        diags.append(d)
-    return diags[:max(count, 1)]
-
-
 def diag_entries(D, dim: int | None = None) -> np.ndarray:
     """Extract diagonal entries from a diagonal matrix or a flat entry list.
 

@@ -29,6 +29,10 @@ from .stability import is_hurwitz
 
 DIVERGENCE_CUTOFF = 1e6
 STEP_NORM_BOUND = 0.1
+# simulate checks the cutoff once per block of this many steps
+_CHECK_EVERY = 64
+# sync metric rows with an entry above this are computed scaled
+_SYNC_SCALE_ABOVE = 1e150
 
 # simulate refuses, before allocating, a grid whose (steps + 1) x 2n state
 # array would hold more values than this (80 MB of float64).
@@ -135,11 +139,27 @@ def simulate(A, D, x0, z0, horizon: float, dt: float) -> Trajectory:
     states = np.empty((steps + 1, 2 * n))
     y = states[0] = np.concatenate([x0, z0])
     diverged = False
-    for k in range(1, steps + 1):
-        y = states[k] = P @ y
-        # checked every step, so growth stops long before float overflow
-        if np.abs(y).max() > DIVERGENCE_CUTOFF:
-            times, states, diverged = times[: k + 1].copy(), states[: k + 1].copy(), True
+    k = 0
+    while k < steps:
+        # dt ||B||_inf <= 0.1 gives ||P||_inf <= e^0.1, so _CHECK_EVERY
+        # steps from |y|_inf <= DIVERGENCE_CUTOFF stay below 1e6 e^6.4 <
+        # 6.1e8, far from overflow; a state already past the cutoff (a
+        # huge y0) is checked after one step
+        size = _CHECK_EVERY if np.abs(y).max() <= DIVERGENCE_CUTOFF else 1
+        block = states[k + 1 : k + 1 + size]
+        for row in block:
+            y = row[:] = P @ y
+        over = (np.abs(block) > DIVERGENCE_CUTOFF).any(axis=1)
+        if over.any():
+            # cut at the first state past the cutoff, as a per-step check would
+            stop = k + 1 + int(np.argmax(over))
+            times, states, diverged = times[: stop + 1].copy(), states[: stop + 1].copy(), True
             break
-    sync = np.linalg.norm(states[:, :n] - states[:, n:], axis=1)
+        k += block.shape[0]
+    x, z = states[:, :n], states[:, n:]
+    # a row past about 1e154 would overflow the squared norm, so it is
+    # scaled by its largest entry first; every other row is divided by 1
+    peak = np.maximum(np.abs(x).max(axis=1), np.abs(z).max(axis=1))
+    scale = np.where(peak > _SYNC_SCALE_ABOVE, peak, 1.0)[:, None]
+    sync = scale[:, 0] * np.linalg.norm(x / scale - z / scale, axis=1)
     return Trajectory(times, states, sync, diverged)

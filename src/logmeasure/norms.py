@@ -189,7 +189,10 @@ class _Polytope:
         return self._sorted(W, self.normals @ T, self.pair_vertex, self.pair_facet)
 
     def gauge_many(self, X: np.ndarray) -> np.ndarray:
-        return np.maximum((X @ self.normals.T).max(axis=1), 0.0)
+        # the max runs over the facets on the transposed scores: numpy
+        # reduces across rows much faster than along short ones
+        scores = np.ascontiguousarray((X @ self.normals.T).T)
+        return np.maximum(scores.max(axis=0), 0.0)
 
     def _scores(self, A: np.ndarray) -> np.ndarray:
         """n_F . (A v) for every facet F (rows) and vertex v (columns)."""
@@ -216,11 +219,12 @@ def _lp_eval_many(p: float, X: np.ndarray) -> np.ndarray:
     every ratio is at most 1 and the sum lies in [1, n], so no power
     overflows however large p or the entries are. The divisor is m clipped
     to the normal range, so rows of zeros give 0 and rows holding an inf
-    give inf, with no 0/0 or inf/inf. The work runs on the transpose, as
-    numpy reduces across rows much faster than along short ones.
+    give inf, with no 0/0 or inf/inf. The max and the generic work run on
+    the transpose, as numpy reduces across rows much faster than along
+    short ones.
     """
     if p == math.inf:
-        return np.abs(X).max(axis=1)
+        return np.abs(X.T, order="C").max(axis=0)
     if p == 1:
         return np.abs(X).sum(axis=1)
     if p == 2:

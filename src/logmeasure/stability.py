@@ -4,10 +4,11 @@ A matrix measure induced by a vector norm is admissible when
 mu(-D) <= 0 for every nonnegative diagonal D. Four equivalent
 characterizations are checked against each other here: orthant
 monotonicity of the norm, nonpositivity of mu(-D), the identity
-mu(D) = max_i d_ii, and the uniform margin mu(-I - D) < 0. Any
-disagreement between the exact classifier and the sampled measure
-conditions signals a bug in this package, never a mathematical
-outcome, and raises InconsistentOracles.
+mu(D) = max_i d_ii, and the uniform margin mu(-I - D) < 0. mu is convex
+and positively homogeneous, so the three measure conditions are decided
+exactly on the n extreme rays D = diag(e_j). Any disagreement between
+the classifier and the measure conditions signals a bug in this
+package, never a mathematical outcome, and raises InconsistentOracles.
 
 A matrix A is additively D-stable when A - D is Hurwitz for every
 nonnegative diagonal D. The report decides it in this order:
@@ -39,7 +40,6 @@ import numpy as np
 from .classify import Verdict, is_orthant_monotonic
 from .common import (
     DEFAULT_SEED,
-    _sample_nonneg_diagonals,
     as_rng,
     as_square_matrix,
     diag_entries,
@@ -96,22 +96,28 @@ class AdmissibilityVerdict:
 
 def is_admissible_measure(
     norm: ValidatedNorm,
-    budget: int = 200,
     *,
     seed: int | np.random.Generator | None = DEFAULT_SEED,
 ) -> AdmissibilityVerdict:
     """Decide admissibility of the measure induced by `norm`.
 
     The primary decision is the orthant-monotonicity classifier. The
-    three measure-side conditions are cross-checked on `budget` sampled
-    nonnegative diagonals and recorded in equivalence_trace under the
+    three measure-side conditions are decided exactly from the n numbers
+    mu(-E_j), E_j = diag(e_j), and recorded in equivalence_trace under the
     keys negated_diagonal_measure (mu(-D) <= 0), diagonal_measure_identity
     (mu(D) = max d_ii), and uniform_margin (mu(-I-D) < 0, the A = -I
-    instance of the existential condition).
+    instance of the existential condition). mu is convex and positively
+    homogeneous, so for every D = diag(d) >= 0, with m = max d_i:
 
-    When not admissible, counterexample_D is a nonnegative diagonal with
-    mu(-D) > 0, preferring the first sampled violation so results are
-    reproducible for a fixed seed.
+    * mu(-D) <= sum_j d_j mu(-E_j), so mu(-D) <= 0 iff every mu(-E_j) <= 0;
+    * mu(-I-D) = mu(-D) - 1, and t E_j with t mu(-E_j) >= 1 breaks the
+      margin as soon as some mu(-E_j) > 0;
+    * mu(D) = m + mu(-(mI - D)) and mu(D) >= m, so the identity holds iff
+      mu(-D) <= 0 does; I - E_j breaks it when mu(-E_j) > 0.
+
+    Each trace entry is exact and checks_run counts the mu(-E_j) read, up
+    to the first violation. When not admissible, counterexample_D is the
+    first E_j with mu(-E_j) > 0.
     """
     om = is_orthant_monotonic(norm, seed=seed)
     trace: dict[str, Verdict] = {"orthant_monotonic": om}
@@ -127,26 +133,20 @@ def is_admissible_measure(
         raise NoExactPath("admissibility cross-checks need an exact measure path")
 
     n = norm.dim
-    rng = as_rng(seed)
-    diags = _sample_nonneg_diagonals(n, budget, rng)
-    c2_w, c3_w, c4_w, checks = _diagonal_sweep(norm, diags)
-
-    for name, w in zip(numeric_names, (c2_w, c3_w, c4_w)):
-        trace[name] = Verdict(w is None, w is not None, w, checks)
-
-    counterexample = c2_w
-    if counterexample is None and c4_w is not None:
-        # mu(-D) = mu(-I-D) + 1 >= 1, so the margin violator works directly
-        counterexample = c4_w
-    if counterexample is None and c3_w is not None:
-        # translation: mu(-(max(d) I - D)) = mu(D) - max(d) > 0
-        d = np.diag(c3_w)
-        counterexample = np.diag(d.max() * np.ones(n) - d)
-    if counterexample is None and not om.holds:
-        # a projection violation at coordinate j forces mu(-diag(e_j)) > 0
-        hits = (_diag_measures(norm, -np.eye(n)) > ADMISSIBILITY_TOL).nonzero()[0]
-        if hits.size:
-            counterexample = np.diag(np.eye(n)[hits[0]])
+    mu = _diag_measures(norm, -np.eye(n))
+    if not np.isfinite(mu).all():
+        raise ValueError(f"non-finite result value {mu[~np.isfinite(mu)][0]}")
+    bad = mu > ADMISSIBILITY_TOL
+    counterexample = None
+    witnesses = (None, None, None)
+    checks = n
+    if bad.any():
+        j = int(np.argmax(bad))
+        counterexample = np.diag(np.eye(n)[j])
+        witnesses = (counterexample, np.eye(n) - counterexample, (2.0 / mu[j]) * counterexample)
+        checks = j + 1
+    for name, w in zip(numeric_names, witnesses):
+        trace[name] = Verdict(w is None, True, w, checks)
 
     if counterexample is not None:
         if matrix_measure(-counterexample, norm).value <= ADMISSIBILITY_TOL:
@@ -166,31 +166,6 @@ def is_admissible_measure(
     return AdmissibilityVerdict(True, om.exact, None, trace)
 
 
-def _diagonal_sweep(norm: ValidatedNorm, diags: list[np.ndarray]):
-    """First sampled violator of mu(-D) <= 0, mu(D) = max d_ii and
-    mu(-I-D) < 0 (None where the condition held throughout), plus how many
-    samples were checked.
-
-    Every sample is scored up front, on all three conditions at once, in
-    one _diag_measures call. The witnesses and the count are read off the
-    first violating indices, which is exactly where a one-by-one loop stops.
-    """
-    d = np.array(diags)
-    mu = _diag_measures(norm, np.vstack([-d, d, -1.0 - d])).reshape(3, -1)
-    if not np.isfinite(mu).all():
-        # the value a one-by-one sweep would meet first
-        raise ValueError(f"non-finite result value {mu.T[~np.isfinite(mu.T)][0]}")
-    neg, pos, margin = mu
-    bad = (
-        neg > ADMISSIBILITY_TOL,
-        np.abs(pos - d.max(axis=1)) > ADMISSIBILITY_TOL,
-        margin >= -ADMISSIBILITY_TOL,
-    )
-    first = [int(np.argmax(b)) if b.any() else None for b in bad]
-    checks = len(diags) if None in first else max(first) + 1
-    return (*(None if i is None else np.diag(d[i]) for i in first), checks)
-
-
 def _diag_measures(norm: ValidatedNorm, E: np.ndarray) -> np.ndarray:
     """mu(diag(e)) for every row e of E under a norm with an exact route:
     one matrix product for polytope balls, one stacked closed-form call
@@ -204,7 +179,6 @@ def measure_of_diagonal(
     norm: ValidatedNorm,
     D,
     *,
-    budget: int = 40,
     seed: int | np.random.Generator | None = DEFAULT_SEED,
 ) -> float:
     """mu(D) for diagonal D (entries of either sign).
@@ -215,7 +189,7 @@ def measure_of_diagonal(
     """
     d = diag_entries(D, norm.dim)
     value = matrix_measure(np.diag(d), norm).value
-    verdict = is_admissible_measure(norm, budget=budget, seed=seed)
+    verdict = is_admissible_measure(norm, seed=seed)
     if not verdict.admissible:
         warnings.warn(
             "measure is not admissible; diagonal identities are not guaranteed",
@@ -374,7 +348,7 @@ def certify_additive_d_stability(
     for norm in members:
         if norm.route == "estimated":
             raise NoExactPath("certificate family members need an exact measure path")
-        if not is_admissible_measure(norm, budget=24, seed=rng).admissible:
+        if not is_admissible_measure(norm, seed=rng).admissible:
             skipped += 1
             continue
         mu = matrix_measure(A, norm).value

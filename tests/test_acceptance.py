@@ -57,7 +57,7 @@ def criterion(num: int, text: str):
 def test_criterion_1_equivalence_battery():
     with criterion(1, "orthant-monotonicity matches admissibility on all 9 norms"):
         t0 = time.perf_counter()
-        report = equivalence_table(budget=200, seed=0)
+        report = equivalence_table(seed=0)
         elapsed = time.perf_counter() - t0
         assert report.all_agree
         for row in report.rows:

@@ -40,7 +40,7 @@ def test_reference_matrices():
 
 
 def test_equivalence_table_pattern():
-    report = equivalence_table(budget=200, seed=0)
+    report = equivalence_table(seed=0)
     assert report.all_agree
     rows = {row.name: row for row in report.rows}
     assert set(rows) == set(EXPECTED_ORDER)
@@ -54,7 +54,7 @@ def test_equivalence_table_pattern():
 
 
 def test_table_rows_serialize():
-    report = equivalence_table(budget=50, seed=0)
+    report = equivalence_table(seed=0)
     doc = report.to_jsonable()
     assert doc["all_agree"] is True
     assert len(doc["rows"]) == 9

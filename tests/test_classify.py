@@ -7,7 +7,6 @@ from logmeasure import (
     Lp,
     NoExactPath,
     Scaled,
-    UnsupportedDimension,
     builtin_battery,
     diag_norm_identity_check,
     eval_norm,
@@ -125,33 +124,37 @@ def test_classification_is_seed_deterministic():
     assert np.array_equal(w1, w2)
 
 
-def test_exact_routes_refuse_large_sign_enumerations():
+def test_exact_routes_answer_large_dimensions_exactly():
+    # n single flips, not 2**21 sign patterns
     big = validate_norm_spec(Scaled(np.diag(np.arange(1.0, 22.0)), Lp(np.inf)))
-    with pytest.raises(UnsupportedDimension):
-        is_absolute(big)
+    v = is_absolute(big)
+    assert (v.holds, v.exact, v.checks_run) == (True, True, 21)
     # bare lp norms classify structurally at any dimension
     v = is_absolute(validate_norm_spec(Lp(1.0), dim=21))
     assert v.holds and v.exact
 
 
 def test_diag_identity_on_lp():
-    v = diag_norm_identity_check(validate_norm_spec(Lp(1.0), dim=3), seed=0)
-    assert v.holds and not v.exact
-    assert v.checks_run == 100
+    # absolute, so answered without a single induced norm
+    v = diag_norm_identity_check(validate_norm_spec(Lp(1.0), dim=3))
+    assert v.holds and v.exact
+    assert v.checks_run == 0
 
 
 def test_diag_identity_fails_for_sheared():
     sheared = validate_norm_spec(sheared_linf_spec(), dim=2)
-    v = diag_norm_identity_check(sheared, seed=0)
+    v = diag_norm_identity_check(sheared)
     assert not v.holds and v.exact
-    assert np.array_equal(v.witness, np.diag([1.0, 2.0]))
+    # the first projection P_j with ||P_j|| > 1
+    assert np.array_equal(v.witness, np.diag([0.0, 1.0]))
+    assert v.checks_run == 1
     got = induced_matrix_norm(v.witness, sheared).value
-    assert abs(got - 2.0) > TOL  # identity would predict max d_ii = 2
+    assert abs(got - 1.0) > TOL  # identity would predict max d_ii = 1
 
 
 def test_diag_identity_needs_exact_norms():
     with pytest.raises(NoExactPath):
-        diag_norm_identity_check(validate_norm_spec(Lp(3.0), dim=2), seed=0)
+        diag_norm_identity_check(validate_norm_spec(Lp(3.0), dim=2))
 
 
 def test_verdict_json_shape():

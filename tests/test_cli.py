@@ -209,6 +209,18 @@ def test_diffusion_non_synchronizing_note(capsys, tmp_path):
     assert parsed["diverged"] is True
 
 
+def test_diffusion_huge_initial_state_keeps_json_valid(capsys, tmp_path):
+    # max |x - z| = 1e306 used to overflow the squared sync norm: numpy's
+    # overflow warning on stderr and "final_sync": Infinity on stdout
+    doc = {"matrix": [[1, -3], [1, -2]], "D": [1, 1], "x0": [1e306, 0], "z0": [0, 1], "horizon": 1, "dt": 0.01}
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        code, out, err = _run(capsys, "diffusion", "--in", _write_doc(tmp_path, doc))
+    assert (code, err) == (0, "")
+    parsed = json.loads(out, parse_constant=lambda name: pytest.fail(f"invalid JSON constant {name}"))
+    assert parsed["diverged"] is True and parsed["steps"] == 1
+    assert math.isfinite(parsed["final_sync"]) and parsed["final_sync"] > 1e305
+
+
 # ------------------------------------------------------------------- errors
 
 
@@ -315,8 +327,9 @@ def test_integer_fields_refuse_non_integers_and_oversized_budgets(capsys, tmp_pa
 
     code, out, _ = _run(capsys, "measure", "--in", _write_doc(tmp_path, {"matrix": matrix, "norm": norm, "dim": 2.0}))
     assert code == 0 and json.loads(out)["value"] == -1.0
+    # battery range-checks "budget" but no longer passes it on: the checks are exact
     assert _run(capsys, "battery", "--in", _write_doc(tmp_path, {"budget": 10_000.0}))[0] == 0
-    assert started == [{"budget": 10_000, "seed": logmeasure.DEFAULT_SEED}]
+    assert started == [{"seed": logmeasure.DEFAULT_SEED}]
 
     doc = {"matrix": matrix, "budget": 4, "falsify_budget": 100_000.0}
     assert _run(capsys, "dstable", "--in", _write_doc(tmp_path, doc))[0] == 0

@@ -3,7 +3,8 @@
 * ``simulate`` evaluates RK4 as its propagator y <- P y; the reference is
   the four-stage loop it replaced. The arithmetic changed, so states and
   the sync metric are compared to 1e-11 (1 + max|y|), times, length and the
-  divergence flag exactly.
+  divergence flag exactly. It checks the divergence cutoff once per block
+  of 64 steps; against the per-step check it replaced, every bit is equal.
 * ``ValidatedNorm.evaluate_many`` reads the validated representation; the
   reference is the spec-tree recursion it replaced. Values are bitwise
   equal except where the arithmetic was re-associated: a scaled polytope
@@ -97,6 +98,64 @@ def test_propagator_matches_staged_rk4(k):
 
 def test_propagator_cases_include_a_diverging_run():
     assert [reference_simulate(*args)[3] for args in SYSTEMS].count(True) == 1
+
+
+def reference_propagation(A, D, x0, z0, horizon, dt):
+    """simulate's propagation with the cutoff checked after every step:
+    (states, diverged)."""
+    B = build_coupled(A, D).block
+    P = eye = np.eye(B.shape[0])
+    for k in (4.0, 3.0, 2.0, 1.0):
+        P = eye + (dt / k) * B @ P
+    steps = math.ceil(horizon / dt - 1e-9)
+    states = np.empty((steps + 1, B.shape[0]))
+    y = states[0] = np.concatenate([x0, z0])
+    for k in range(1, steps + 1):
+        y = states[k] = P @ y
+        if np.abs(y).max() > DIVERGENCE_CUTOFF:
+            return states[: k + 1], True
+    return states, False
+
+
+def _block_cases():
+    """Runs that stop at steps 1, 63, 64, 65 (the initial state of the
+    diverging fragile run scaled to cross the cutoff there) and 2169 (that
+    run itself), two from huge initial states, and two that never stop."""
+    diverging = (FRAGILE_MATRIX, np.array([0.0, 3.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]), 30.0, 0.01)
+    peaks = np.abs(reference_propagation(*diverging)[0]).max(axis=1)
+    cases = {2169: diverging}
+    for stop in (1, 63, 64, 65):
+        # between the largest state before the stop and the state at it
+        c = DIVERGENCE_CUTOFF / np.sqrt(peaks[:stop].max() * peaks[stop])
+        cases[stop] = (*diverging[:2], c * diverging[2], c * diverging[3], *diverging[4:])
+    cases["huge"] = (FRAGILE_MATRIX, np.ones(2), np.array([1e306, 0.0]), np.array([0.0, 1.0]), 1.0, 0.01)
+    # x' = 2x grows e^0.1 a step: 20 unchecked steps from 1e308 would overflow
+    cases["near_max"] = (np.array([[2.0]]), np.zeros(1), np.array([1e308]), np.array([0.0]), 1.0, 0.05)
+    cases["stable"] = (FRAGILE_MATRIX, np.ones(2), [1.0, 0.0], [0.0, 1.0], 30.0, 0.01)
+    cases["short"] = (np.array([[-1.0]]), np.ones(1), [1.0], [0.0], 0.5, 0.01)
+    return cases
+
+
+BLOCK_CASES = _block_cases()
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_block_divergence_check_matches_per_step_check(case):
+    args = BLOCK_CASES[case]
+    states, diverged = reference_propagation(*args)
+    if isinstance(case, int):
+        assert (diverged, states.shape[0] - 1) == (True, case)
+    traj = simulate(*args)
+    assert traj.diverged == diverged
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.times.tobytes() == (np.arange(states.shape[0]) * args[5]).tobytes()
+    n = states.shape[1] // 2
+    if np.abs(states).max() <= 1e150:
+        # ordinary rows keep the bits of the plain euclidean norm
+        assert traj.sync_metric.tobytes() == np.linalg.norm(states[:, :n] - states[:, n:], axis=1).tobytes()
+    else:
+        want = [math.hypot(*(x - z)) for x, z in zip(states[:, :n], states[:, n:])]
+        np.testing.assert_allclose(traj.sync_metric, want, rtol=1e-15)
 
 
 # ------------------------------------------------------------- evaluate_many

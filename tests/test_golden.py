@@ -20,6 +20,19 @@ outputs stayed within 1e-12 (1 + |v|) of the stages' output (the largest
 move was 1.5e-15 (1 + |v|)), and the diffusion text digests, which print 6
 significant digits, did not move.
 
+Twenty-four digests, classify/*/{json,text}/* and battery/-/{json,text}/*,
+were re-recorded when admissibility, absoluteness and the diagonal norm
+identity came to be decided by convexity, on n extreme rays, n single sign
+flips and n projections, instead of sampled diagonals and 2^n sign
+patterns. Every verdict stayed. What moved: checks_run (200 sampled
+diagonals became 2 extreme rays; 2^n patterns became n flips; 100 sampled
+diagonals became 2 projections), "exact" turned true with the text's "~"
+and "(sampled)" marks gone, the diag_identity witness is the first
+projection diag(0, 1) instead of the sampled diag(1, 2), the battery's
+trace witnesses are the extreme-ray violators E_1, I - E_1 and
+(2 / mu(-E_1)) E_1, and sheared_linf's counterexample_D is diag(1, 0)
+(mu(-D) = 5) instead of diag(1, 2). The battery CSV digests did not move.
+
 Run as a script (``python3 tests/test_golden.py``), this file prints the
 digest table of the current checkout in GOLDEN's layout, through the same
 ``digest`` helper the test uses; re-record from that output.
@@ -57,30 +70,30 @@ GOLDEN = {
     "battery/-/csv/0": "af65c0a618c7283fe98a93c45853762d72e55d866973c8ef2ceb5c1a14d79c95",
     "battery/-/csv/5": "af65c0a618c7283fe98a93c45853762d72e55d866973c8ef2ceb5c1a14d79c95",
     "battery/-/csv/default": "af65c0a618c7283fe98a93c45853762d72e55d866973c8ef2ceb5c1a14d79c95",
-    "battery/-/json/0": "2d493bf999777d44d14f61ffa257ce1ae76968416acfb0d274b72f4b410bfcb7",
-    "battery/-/json/5": "2d493bf999777d44d14f61ffa257ce1ae76968416acfb0d274b72f4b410bfcb7",
-    "battery/-/json/default": "2d493bf999777d44d14f61ffa257ce1ae76968416acfb0d274b72f4b410bfcb7",
-    "battery/-/text/0": "64f8df2407effd7295b3644cdacd0fc43ca2cc3d4b973e9d422f919af33b6311",
-    "battery/-/text/5": "64f8df2407effd7295b3644cdacd0fc43ca2cc3d4b973e9d422f919af33b6311",
-    "battery/-/text/default": "64f8df2407effd7295b3644cdacd0fc43ca2cc3d4b973e9d422f919af33b6311",
-    "classify/hexagon/json/0": "de50fedc67b28925c1669bc955a59236b67ba478564457e94839d42b0653da49",
-    "classify/hexagon/json/5": "de50fedc67b28925c1669bc955a59236b67ba478564457e94839d42b0653da49",
-    "classify/hexagon/json/default": "de50fedc67b28925c1669bc955a59236b67ba478564457e94839d42b0653da49",
-    "classify/hexagon/text/0": "e87b45da169209740c23a96a1bb7a7b26f3199b6252427a3633720a466998aff",
-    "classify/hexagon/text/5": "e87b45da169209740c23a96a1bb7a7b26f3199b6252427a3633720a466998aff",
-    "classify/hexagon/text/default": "e87b45da169209740c23a96a1bb7a7b26f3199b6252427a3633720a466998aff",
-    "classify/parallelogram/json/0": "f316829b25dceb0254b0b44136024972e8bb36c2207ff77bd90cb37647f49782",
-    "classify/parallelogram/json/5": "f316829b25dceb0254b0b44136024972e8bb36c2207ff77bd90cb37647f49782",
-    "classify/parallelogram/json/default": "f316829b25dceb0254b0b44136024972e8bb36c2207ff77bd90cb37647f49782",
-    "classify/parallelogram/text/0": "8e505edec8f3402444982b0b948fbcb3e1361c96ab36d425e7d5dffbb8a1d0c9",
-    "classify/parallelogram/text/5": "8e505edec8f3402444982b0b948fbcb3e1361c96ab36d425e7d5dffbb8a1d0c9",
-    "classify/parallelogram/text/default": "8e505edec8f3402444982b0b948fbcb3e1361c96ab36d425e7d5dffbb8a1d0c9",
-    "classify/sheared_linf/json/0": "84ee3494ae9fcbfc95ffe77ade23e66b3839a991fc7ab2c202c5e88e214cc99d",
-    "classify/sheared_linf/json/5": "84ee3494ae9fcbfc95ffe77ade23e66b3839a991fc7ab2c202c5e88e214cc99d",
-    "classify/sheared_linf/json/default": "84ee3494ae9fcbfc95ffe77ade23e66b3839a991fc7ab2c202c5e88e214cc99d",
-    "classify/sheared_linf/text/0": "1a37023afdf846c7701492a68de86ac754b83e2ac1e9ad4879fd1a23b23f6176",
-    "classify/sheared_linf/text/5": "1a37023afdf846c7701492a68de86ac754b83e2ac1e9ad4879fd1a23b23f6176",
-    "classify/sheared_linf/text/default": "1a37023afdf846c7701492a68de86ac754b83e2ac1e9ad4879fd1a23b23f6176",
+    "battery/-/json/0": "080ce2f7c9b1f249223d34c9518f11bb90bb168fc38787fe1a365e9a07d87c81",
+    "battery/-/json/5": "080ce2f7c9b1f249223d34c9518f11bb90bb168fc38787fe1a365e9a07d87c81",
+    "battery/-/json/default": "080ce2f7c9b1f249223d34c9518f11bb90bb168fc38787fe1a365e9a07d87c81",
+    "battery/-/text/0": "85981ef41c16992ee8d0fba77b96e16e0d969da678383c7a1ebc3524b7111465",
+    "battery/-/text/5": "85981ef41c16992ee8d0fba77b96e16e0d969da678383c7a1ebc3524b7111465",
+    "battery/-/text/default": "85981ef41c16992ee8d0fba77b96e16e0d969da678383c7a1ebc3524b7111465",
+    "classify/hexagon/json/0": "9670403981bd01fb9d2feeac83d808091beb7b7e5ba94ea32850a64950e2dec5",
+    "classify/hexagon/json/5": "9670403981bd01fb9d2feeac83d808091beb7b7e5ba94ea32850a64950e2dec5",
+    "classify/hexagon/json/default": "9670403981bd01fb9d2feeac83d808091beb7b7e5ba94ea32850a64950e2dec5",
+    "classify/hexagon/text/0": "9eab39e25f4d75d9911bcca28a9b9d5b0c2d7437b86c5afc8c6ddeee25307c43",
+    "classify/hexagon/text/5": "9eab39e25f4d75d9911bcca28a9b9d5b0c2d7437b86c5afc8c6ddeee25307c43",
+    "classify/hexagon/text/default": "9eab39e25f4d75d9911bcca28a9b9d5b0c2d7437b86c5afc8c6ddeee25307c43",
+    "classify/parallelogram/json/0": "787e1c0c0cf86f637b3bace51977b5f9063d817932dbfff94148ce5a4ac776e0",
+    "classify/parallelogram/json/5": "787e1c0c0cf86f637b3bace51977b5f9063d817932dbfff94148ce5a4ac776e0",
+    "classify/parallelogram/json/default": "787e1c0c0cf86f637b3bace51977b5f9063d817932dbfff94148ce5a4ac776e0",
+    "classify/parallelogram/text/0": "b861fae4db1428fea9ca5c2884827c57f070e1bc5c24da772a4aeb38dee1d6ca",
+    "classify/parallelogram/text/5": "b861fae4db1428fea9ca5c2884827c57f070e1bc5c24da772a4aeb38dee1d6ca",
+    "classify/parallelogram/text/default": "b861fae4db1428fea9ca5c2884827c57f070e1bc5c24da772a4aeb38dee1d6ca",
+    "classify/sheared_linf/json/0": "9c024cf789d9badcaea71ff003e71c70e47bba41454dd29647fff0790f877213",
+    "classify/sheared_linf/json/5": "9c024cf789d9badcaea71ff003e71c70e47bba41454dd29647fff0790f877213",
+    "classify/sheared_linf/json/default": "9c024cf789d9badcaea71ff003e71c70e47bba41454dd29647fff0790f877213",
+    "classify/sheared_linf/text/0": "a6db8d050a0bdffd3d9a8a4f67660c66c1cf1b98277e2e3ebb44c5d4d8b54cc9",
+    "classify/sheared_linf/text/5": "a6db8d050a0bdffd3d9a8a4f67660c66c1cf1b98277e2e3ebb44c5d4d8b54cc9",
+    "classify/sheared_linf/text/default": "a6db8d050a0bdffd3d9a8a4f67660c66c1cf1b98277e2e3ebb44c5d4d8b54cc9",
     "diffusion/fragile/csv/0": "00bcffc5a8f9c283c7e0210a47788fd4a851e8d853e734d518109c385b5afdb3",
     "diffusion/fragile/csv/5": "00bcffc5a8f9c283c7e0210a47788fd4a851e8d853e734d518109c385b5afdb3",
     "diffusion/fragile/csv/default": "00bcffc5a8f9c283c7e0210a47788fd4a851e8d853e734d518109c385b5afdb3",

@@ -2,6 +2,8 @@
 one-at-a-time computations they replaced: same search path, same witnesses,
 same bits."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from logmeasure import (
     NotCentrallySymmetric,
     Polyhedral,
     Scaled,
+    builtin_battery,
+    diag_norm_identity_check,
     hexagon_spec,
     induced_matrix_norm,
     is_absolute,
@@ -25,15 +29,8 @@ from logmeasure import (
 from logmeasure.classify import _projection_witness_scaled, _sign_normalize
 from logmeasure.common import TOL_EXACT, TOL_VERTEX
 from logmeasure.measures import _closed_mu_many, _closed_norm_many
-from logmeasure.norms import _check_symmetric, _dedup_rows
-from logmeasure.stability import (
-    ADMISSIBILITY_TOL,
-    FALSIFY_THRESHOLD,
-    _abscissa_many,
-    _diagonal_sweep,
-    _pattern_search,
-    _sample_nonneg_diagonals,
-)
+from logmeasure.norms import _check_symmetric, _dedup_rows, _lp_eval_many
+from logmeasure.stability import ADMISSIBILITY_TOL, FALSIFY_THRESHOLD, _abscissa_many, _pattern_search
 
 
 def _hurwitz_matrices():
@@ -165,8 +162,28 @@ def _norms():
 NORMS = _norms()
 
 
+def reference_sample_nonneg_diagonals(n, count, rng):
+    """The nonnegative diagonals the admissibility sweep and the diagonal
+    identity check once sampled: structured ones first (they catch the
+    known failure modes), then log-uniform fill with occasional zeros."""
+    diags = [np.arange(1.0, n + 1.0), np.ones(n)]
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        diags.append(e)
+        diags.append(2.0 * e)
+        diags.append(np.ones(n) - e)
+    while len(diags) < count:
+        d = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), n))
+        if rng.random() < 0.2:
+            d[rng.integers(n)] = 0.0
+        diags.append(d)
+    return diags[: max(count, 1)]
+
+
 def reference_sweep(norm, diags):
-    """The admissibility sweep, one matrix_measure call per check."""
+    """The sampled admissibility sweep, one matrix_measure call per check:
+    the first violator of each measure condition (or None) and the count."""
     eye = np.eye(norm.dim)
     c2_w = c3_w = c4_w = None
     checks = 0
@@ -184,22 +201,6 @@ def reference_sweep(norm, diags):
     return c2_w, c3_w, c4_w, checks
 
 
-@pytest.mark.parametrize("budget", [1, 24, 200])
-def test_stacked_sweep_matches_per_sample_measures(budget):
-    violated = 0
-    for k, norm in enumerate(NORMS):
-        diags = _sample_nonneg_diagonals(norm.dim, budget, np.random.default_rng(k))
-        *want_w, want_checks = reference_sweep(norm, diags)
-        *got_w, got_checks = _diagonal_sweep(norm, diags)
-        assert got_checks == want_checks
-        for got, want in zip(got_w, want_w):
-            assert (got is None) == (want is None)
-            if want is not None:
-                violated += 1
-                assert got.tobytes() == want.tobytes()
-    assert violated  # the general scalings, sheared_linf and most polytopes are inadmissible
-
-
 def test_closed_mu_many_is_bitwise_matrix_measure():
     rng = np.random.default_rng(3)
     for norm in (m for m in NORMS if m.route != "polyhedral"):
@@ -209,16 +210,19 @@ def test_closed_mu_many_is_bitwise_matrix_measure():
         assert got.tobytes() == np.array(want).tobytes()
 
 
-def test_stacked_sweep_falls_back_to_the_loop_on_overflow():
-    # T D T^-1 overflows for T = 1e308 I; the one-by-one loop raises on the
-    # first non-finite measure, and so must the stacked sweep
+def test_stacked_sweep_falls_back_to_the_loop_on_overflow(monkeypatch):
+    # T D T^-1 overflows for T = 1e308 I on the sampled diagonals (entries up
+    # to 10), where the one-by-one sweep raised on the first non-finite
+    # measure; the extreme rays have unit entries and stay finite
     norm = validate_norm_spec(Scaled(1e308 * np.eye(2), Lp(2.0)))
-    diags = _sample_nonneg_diagonals(2, 24, np.random.default_rng(0))
-    with np.errstate(all="ignore"):
-        with pytest.raises(ValueError, match="non-finite"):
-            reference_sweep(norm, diags)
-        with pytest.raises(ValueError, match="non-finite"):
-            _diagonal_sweep(norm, diags)
+    diags = reference_sample_nonneg_diagonals(2, 24, np.random.default_rng(0))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+        reference_sweep(norm, diags)
+    assert is_admissible_measure(norm).admissible
+    # a non-finite mu(-E_j) still raises, naming the first such value
+    monkeypatch.setattr("logmeasure.stability._diag_measures", lambda norm, E: np.array([0.0, np.inf]))
+    with pytest.raises(ValueError, match="non-finite result value inf"):
+        is_admissible_measure(norm)
 
 
 def test_closed_norm_many_is_bitwise_induced_matrix_norm():
@@ -228,6 +232,21 @@ def test_closed_norm_many_is_bitwise_induced_matrix_norm():
         got = _closed_norm_many(S, norm)
         want = [induced_matrix_norm(M, norm).value for M in S]
         assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_reductions_on_the_transpose_are_bitwise_row_wise_ones():
+    # gauge_many and the l_inf path reduce across rows of the transposed
+    # array; the row-wise reductions they replaced are the reference
+    rng = np.random.default_rng(21)
+    for k in (1, 7, 1000):
+        for norm in (m for m in NORMS if m._polytope is not None):
+            X = rng.standard_normal((k, norm.dim)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
+            want = np.maximum((X @ norm._polytope.normals.T).max(axis=1), 0.0)
+            assert norm._polytope.gauge_many(X).tobytes() == want.tobytes()
+        for n in (1, 2, 3, 7):
+            X = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-300, 300, (k, 1))
+            X[0, 0] = rng.choice([0.0, -np.inf, np.nan])
+            assert _lp_eval_many(np.inf, X).tobytes() == np.abs(X).max(axis=1).tobytes()
 
 
 def reference_orthant_monotonic(norm):
@@ -255,25 +274,56 @@ def reference_orthant_monotonic(norm):
     return True, None, checks
 
 
+def reference_is_absolute(norm):
+    """is_absolute on an exact route as the loop over all 2**n sign
+    patterns, last sign varying fastest: (holds, witness, checks)."""
+    if norm.kind == "lp":
+        return True, None, 0
+    n = norm.dim
+    V = None if norm.route == "scaled_closed" else norm._polytope.vertices
+    checks = 0
+    for signs in itertools.product((1.0, -1.0), repeat=n):
+        if V is None:
+            S = np.diag(signs)
+            checks += 1
+            if abs(induced_matrix_norm(S, norm).value - 1.0) > TOL_EXACT:
+                return False, _sign_normalize(S), checks
+        else:
+            s = np.asarray(signs)
+            bad = np.abs(norm.evaluate_many(V * s[None, :]) - 1.0) > TOL_EXACT
+            checks += V.shape[0]
+            if np.any(bad):
+                v = V[int(np.argmax(bad))]
+                w = v if abs(norm(np.abs(v)) - 1.0) > TOL_EXACT else v * s
+                return False, _sign_normalize(w), checks
+    return True, None, checks
+
+
+def reference_diag_identity(norm):
+    """diag_norm_identity_check as it sampled max(100, 3n + 2) diagonals:
+    (holds, witness)."""
+    n = norm.dim
+    for d in reference_sample_nonneg_diagonals(n, max(100, 3 * n + 2), np.random.default_rng(0)):
+        D = np.diag(d)
+        if abs(induced_matrix_norm(D, norm).value - float(d.max())) > TOL_EXACT:
+            return False, D
+    return True, None
+
+
 def reference_admissibility(norm, budget, seed):
-    """is_admissible_measure with every measure taken by one matrix_measure
-    call: (orthant-monotonic verdict, sweep result, counterexample, whether
-    the e_j fallback supplied it)."""
+    """is_admissible_measure's parts with one matrix_measure call per
+    check: the orthant-monotonic verdict, the sampled sweep over `budget`
+    diagonals, and the first E_j = diag(e_j) with mu(-E_j) > 0 (None if
+    there is none) with the count of E_j read."""
     om = reference_orthant_monotonic(norm)
     n = norm.dim
-    sweep = reference_sweep(norm, _sample_nonneg_diagonals(n, budget, np.random.default_rng(seed)))
-    c2_w, c3_w, c4_w, _ = sweep
-    ce = c2_w if c2_w is not None else c4_w
-    if ce is None and c3_w is not None:
-        d = np.diag(c3_w)
-        ce = np.diag(d.max() * np.ones(n) - d)
-    if ce is None and not om[0]:
-        for j in range(n):
-            E = np.zeros((n, n))
-            E[j, j] = 1.0
-            if matrix_measure(-E, norm).value > ADMISSIBILITY_TOL:
-                return om, sweep, E, True
-    return om, sweep, ce, False
+    sweep = reference_sweep(norm, reference_sample_nonneg_diagonals(n, budget, np.random.default_rng(seed)))
+    for j in range(n):
+        E = np.zeros((n, n))
+        E[j, j] = 1.0
+        if matrix_measure(-E, norm).value > ADMISSIBILITY_TOL:
+            return om, sweep, E, j + 1
+    return om, sweep, None, n
 
 
 def _same(got, want):
@@ -282,9 +332,44 @@ def _same(got, want):
     )
 
 
+TRACE_NAMES = ("negated_diagonal_measure", "diagonal_measure_identity", "uniform_margin")
+
+
+def _violates(name, norm, W):
+    """Whether the diagonal W breaks the named measure condition."""
+    if name == "negated_diagonal_measure":
+        return matrix_measure(-W, norm).value > ADMISSIBILITY_TOL
+    if name == "diagonal_measure_identity":
+        return abs(matrix_measure(W, norm).value - np.diag(W).max()) > ADMISSIBILITY_TOL
+    return matrix_measure(-np.eye(norm.dim) - W, norm).value >= -ADMISSIBILITY_TOL
+
+
+def check_admissibility(norm, budget, seed):
+    """is_admissible_measure against reference_admissibility. Returns
+    whether the extreme rays found a violation where the sampled sweep
+    found none of the three."""
+    (om_holds, om_w, om_checks), (*sweep_w, _), ce, ce_checks = reference_admissibility(norm, budget, seed)
+    adm = is_admissible_measure(norm, seed=seed)
+    assert adm.admissible == om_holds == (ce is None)
+    assert _same(adm.counterexample_D, ce)
+    om = adm.equivalence_trace["orthant_monotonic"]  # the is_orthant_monotonic verdict
+    assert (om.holds, om.checks_run) == (om_holds, om_checks)
+    assert _same(om.witness, om_w)
+    covered = budget >= 3 * norm.dim + 2  # every E_j and I - E_j was sampled
+    for name, sampled in zip(TRACE_NAMES, sweep_w):
+        t = adm.equivalence_trace[name]
+        assert (t.holds, t.exact, t.checks_run) == (ce is None, True, ce_checks)
+        # convexity: a sampled violator means an extreme ray violates too
+        assert sampled is None or not t.holds
+        if covered and name != "uniform_margin":
+            assert (sampled is None) == t.holds
+        assert t.holds or _violates(name, norm, t.witness)
+    return all(w is None for w in sweep_w) and ce is not None
+
+
 # not orthant-monotonic, yet diag(1..n), the one diagonal of budget 1,
-# violates none of the three measure conditions, so an e_j supplies the
-# counterexample: once on the closed-form route, once on a polytope
+# violates none of the three measure conditions, so only the extreme rays
+# find the counterexample: once on the closed-form route, once on a polytope
 _cross = np.vstack([np.eye(3), [[-0.8, 0.9, 0.1]]])
 FALLBACK_NORMS = [
     validate_norm_spec(Scaled(np.array([[1.0, -0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), Lp(2.0))),
@@ -294,24 +379,70 @@ FALLBACK_NORMS = [
 
 @pytest.mark.parametrize("budget", [1, 24, 200])
 def test_stacked_classifier_and_admissibility_match_per_matrix_loops(budget):
-    fallbacks = 0
-    for k, norm in enumerate(NORMS + FALLBACK_NORMS):
-        (om_holds, om_w, om_checks), (*sweep_w, sweep_checks), ce, fallback = reference_admissibility(
-            norm, budget, k
-        )
-        adm = is_admissible_measure(norm, budget, seed=k)
-        assert adm.admissible == om_holds == (ce is None)
-        assert _same(adm.counterexample_D, ce)
-        trace = adm.equivalence_trace
-        om = trace["orthant_monotonic"]  # the is_orthant_monotonic verdict
-        assert (om.holds, om.checks_run) == (om_holds, om_checks)
-        assert _same(om.witness, om_w)
-        names = ("negated_diagonal_measure", "diagonal_measure_identity", "uniform_margin")
-        for name, w in zip(names, sweep_w):
-            assert trace[name].checks_run == sweep_checks
-            assert _same(trace[name].witness, w)
-        fallbacks += fallback
-    assert fallbacks == (len(FALLBACK_NORMS) if budget == 1 else 0)
+    missed = [check_admissibility(norm, budget, k) for k, norm in enumerate(NORMS + FALLBACK_NORMS)]
+    assert sum(missed) == (len(FALLBACK_NORMS) if budget == 1 else 0)
+
+
+def _convexity_norms():
+    """99 norms with n = 2..4: the battery, 40 generally scaled l_1, l_2 and
+    l_inf norms, 30 random centrally symmetric polytopes and 20 polytopes
+    closed under sign flips."""
+    rng = np.random.default_rng(99)
+    out = [norm for _, norm in builtin_battery()]
+    for k in range(40):
+        n, p = 2 + k % 3, (1.0, 2.0, np.inf)[k // 3 % 3]
+        out.append(validate_norm_spec(Scaled(np.eye(n) + 0.8 * rng.standard_normal((n, n)), Lp(p))))
+    for k in range(30):
+        W = rng.standard_normal((4 + k % 3, 2 + k % 3))
+        out.append(validate_norm_spec(Polyhedral(np.vstack([W, -W]))))
+    for k in range(20):
+        n = 2 + k % 3
+        flips = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+        W = np.abs(rng.standard_normal((2, n)))
+        out.append(validate_norm_spec(Polyhedral((flips[:, None, :] * W).reshape(-1, n))))
+    return out
+
+
+CONVEXITY_NORMS = _convexity_norms()
+
+
+@pytest.mark.parametrize("k", range(len(CONVEXITY_NORMS)))
+def test_convexity_checks_match_the_enumerations(k):
+    norm = CONVEXITY_NORMS[k]
+    n = norm.dim
+    # absoluteness: the n single flips against the 2**n sign patterns
+    holds, witness, checks = reference_is_absolute(norm)
+    got = is_absolute(norm)
+    assert (got.holds, got.exact) == (holds, True)
+    assert _same(got.witness, witness)
+    per_check = 1 if norm.route != "polyhedral" else norm._polytope.vertices.shape[0]
+    if norm.kind == "lp":
+        assert got.checks_run == checks == 0
+    elif holds:
+        assert (got.checks_run, checks) == (n * per_check, 2**n * per_check)
+    else:
+        # flip k + 1 in the order S_n, ..., S_1 is pattern 2**k + 1
+        assert checks // per_check == 2 ** (got.checks_run // per_check - 1) + 1
+    # orthant monotonicity: one stacked call against one call per projection
+    holds, witness, checks = reference_orthant_monotonic(norm)
+    got = is_orthant_monotonic(norm)
+    assert (got.holds, got.exact, got.checks_run) == (holds, True, checks)
+    assert _same(got.witness, witness)
+    # the measure conditions: n extreme rays against 200 sampled diagonals
+    check_admissibility(norm, 200, k)
+    # the diagonal norm identity: n projections against the sampled check,
+    # whose samples include every projection
+    holds, _ = reference_diag_identity(norm)
+    got = diag_norm_identity_check(norm)
+    assert (got.holds, got.exact) == (holds, True)
+    if not holds:
+        assert abs(induced_matrix_norm(got.witness, norm).value - 1.0) > TOL_EXACT
+
+
+def test_convexity_norms_cover_both_verdicts():
+    verdicts = [(is_absolute(m).holds, is_orthant_monotonic(m).holds) for m in CONVEXITY_NORMS]
+    assert len(CONVEXITY_NORMS) == 99
+    assert {(True, True), (False, True), (False, False)} <= set(verdicts)
 
 
 @pytest.mark.parametrize(
