@@ -38,6 +38,13 @@ _SYNC_SCALE_ABOVE = 1e150
 # array would hold more values than this (80 MB of float64).
 MAX_STATE_VALUES = 10_000_000
 
+# simulate refuses, before allocating, initial states with an entry, or
+# sqrt(n) |x0 - z0|_inf, above this. A state past the cutoff stops the run
+# after one step, which grows |y|_inf and |x - z|_inf by at most e^0.1, so
+# the states and the sync metric |x - z|_2 stay below 1.66e308, inside the
+# float range.
+MAX_INITIAL_STATE = 1.5e308
+
 
 @dataclass
 class CoupledSystem:
@@ -108,8 +115,10 @@ def simulate(A, D, x0, z0, horizon: float, dt: float) -> Trajectory:
     propagator P = sum_{k<=4} (dt B)^k / k! is built once, in Horner form.
 
     horizon and dt must be positive and finite, dt must not exceed the
-    horizon and must satisfy dt * ||block||_inf <= 0.1, and the grid may
-    store at most MAX_STATE_VALUES state values; integration stops early
+    horizon and must satisfy dt * ||block||_inf <= 0.1, the grid may
+    store at most MAX_STATE_VALUES state values, and neither the entries
+    of x0 and z0 nor sqrt(n) |x0 - z0|_inf may exceed MAX_INITIAL_STATE;
+    integration stops early
     (diverged=True) once any state entry passes the overflow cutoff.
     """
     if not (math.isfinite(horizon) and math.isfinite(dt)) or dt <= 0.0 or horizon <= 0.0:
@@ -118,6 +127,13 @@ def simulate(A, D, x0, z0, horizon: float, dt: float) -> Trajectory:
     n = system.A.shape[0]
     x0 = as_vector(x0, n)
     z0 = as_vector(z0, n)
+    # halved, as x0 - z0 itself may overflow
+    gap = 2.0 * math.sqrt(n) * float(np.abs(0.5 * x0 - 0.5 * z0).max())
+    if max(np.abs(x0).max(), np.abs(z0).max(), gap) > MAX_INITIAL_STATE:
+        raise ValueError(
+            f"initial states too large: their entries and sqrt(n) |x0 - z0|_inf "
+            f"must not exceed {MAX_INITIAL_STATE:g}"
+        )
     if dt > horizon:
         raise StepTooLarge("dt exceeds the horizon")
     B = system.block

@@ -101,8 +101,10 @@ def _core_frame(S: np.ndarray, norm: ValidatedNorm) -> np.ndarray:
 
 
 def _closed_norm_many(S: np.ndarray, norm: ValidatedNorm) -> np.ndarray:
-    """Closed-form induced norm of each matrix."""
-    return _closed_norm_core(_core_frame(S, norm), norm.core_p)
+    """Closed-form induced norm of each matrix; an overflow gives a
+    non-finite value, which the caller reports, and no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _closed_norm_core(_core_frame(S, norm), norm.core_p)
 
 
 def _closed_norm_core(S: np.ndarray, p: float) -> np.ndarray:
@@ -118,8 +120,10 @@ def _closed_norm_core(S: np.ndarray, p: float) -> np.ndarray:
 
 
 def _closed_mu_many(S: np.ndarray, norm: ValidatedNorm) -> np.ndarray:
-    """Closed-form measure of each matrix."""
-    return _closed_mu_core(_core_frame(S, norm), norm.core_p)
+    """Closed-form measure of each matrix; an overflow gives a non-finite
+    value, which the caller reports, and no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _closed_mu_core(_core_frame(S, norm), norm.core_p)
 
 
 def _closed_mu_core(S: np.ndarray, p: float) -> np.ndarray:

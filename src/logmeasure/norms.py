@@ -24,8 +24,9 @@ All functions are pure, and a ValidatedNorm is never mutated after
 validation: the unit-ball vertices of a closed-form norm are derived on
 demand by ``unit_ball_vertices``, so instances can be shared freely.
 
-scipy.spatial (Qhull) is imported where hulls are built, so importing the
-package does not load it.
+scipy.spatial (Qhull and the KD-tree) is imported only where hulls are
+built for n >= 3: balls in one and two dimensions are built in numpy, so
+importing the package, or working with planar norms, does not load it.
 """
 
 from __future__ import annotations
@@ -92,11 +93,51 @@ class PiecewiseOrthant:
 NormSpec = Union[Lp, Scaled, Polyhedral, PiecewiseOrthant]
 
 
+def _near_pairs(P: np.ndarray, Q: np.ndarray, tol: float) -> np.ndarray:
+    """Every (i, j) with max_k |P[i, k] - Q[j, k]| <= tol, for points in R^1
+    or R^2, as a (pairs, 2) array: the pairs cKDTree finds, in numpy.
+
+    Points are binned in a grid of side 2 tol, so a pair within tol lies in
+    neighbouring cells however X / (2 tol) rounds, and each row of P is
+    compared only with the rows of Q in the 3^n cells around its own: the
+    work grows with the pairs found plus the rows, not with their product.
+    Cell indices are clipped to 2**52, where a cell and its neighbours are
+    still exact floats; the clipped cells (|x| >= 2**53 tol) merge only
+    points farther than tol apart in that coordinate, which costs
+    candidates, not pairs.
+    """
+    n = Q.shape[1]
+
+    def cells(X):
+        with np.errstate(over="ignore"):
+            C = np.floor(np.clip(X / (2.0 * tol), -(2.0**52), 2.0**52))
+        # a complex key sorts and searches lexicographically, as (x, y)
+        return C[:, 0] + 1j * C[:, -1] if n == 2 else C[:, 0] + 0j
+
+    keys = cells(Q)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    steps = (-1.0, 0.0, 1.0)
+    offsets = np.array([complex(dx, dy) for dx in steps for dy in (steps if n == 2 else (0.0,))])
+    target = (cells(P)[:, None] + offsets).ravel()
+    lo = np.searchsorted(sorted_keys, target, "left")
+    count = np.searchsorted(sorted_keys, target, "right") - lo
+    i = np.repeat(np.arange(target.size) // offsets.size, count)
+    # the candidates of a target are the run sorted_keys[lo : lo + count]
+    j = order[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(i.size)]
+    near = np.abs(P[i] - Q[j]).max(axis=1) <= tol
+    return np.column_stack([i[near], j[near]])
+
+
 def _dedup_rows(V: np.ndarray, tol: float) -> np.ndarray:
     """V without each row lying within tol (max-norm) of an earlier kept row."""
-    from scipy.spatial import cKDTree
+    if V.shape[1] <= 2:
+        pairs = _near_pairs(V, V, tol)
+        pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+    else:
+        from scipy.spatial import cKDTree
 
-    pairs = cKDTree(V).query_pairs(tol, p=np.inf, output_type="ndarray")
+        pairs = cKDTree(V).query_pairs(tol, p=np.inf, output_type="ndarray")
     keep = np.ones(V.shape[0], dtype=bool)
     # pairs come as i < j; walked in order of j, keep[i] is settled before
     # any pair (i, j) is read, as in a keep-first scan
@@ -108,11 +149,16 @@ def _dedup_rows(V: np.ndarray, tol: float) -> np.ndarray:
 
 def _check_symmetric(V: np.ndarray, tol: float) -> None:
     """Raise unless every row has an antipode within tol (max-norm)."""
-    from scipy.spatial import cKDTree
+    if V.shape[1] <= 2:
+        missing = np.ones(V.shape[0], dtype=bool)
+        missing[_near_pairs(-V, V, tol)[:, 0]] = False
+    else:
+        from scipy.spatial import cKDTree
 
-    dist, _ = cKDTree(V).query(-V, p=np.inf)
-    if np.any(dist > tol):
-        v = V[int(np.argmax(dist > tol))]
+        dist, _ = cKDTree(V).query(-V, p=np.inf)
+        missing = dist > tol
+    if np.any(missing):
+        v = V[int(np.argmax(missing))]
         raise NotCentrallySymmetric(f"vertex {v.tolist()} has no antipode in the set")
 
 
@@ -127,8 +173,8 @@ class _Polytope:
     vertices holds the extreme points in canonical row order and normals
     the facet normals scaled so that |x| = max_F n_F . x. The incidence
     pairs (pair_vertex[p], pair_facet[p]) list each vertex v with each
-    facet F it lies on, read off Qhull's combinatorics, so no activity
-    tolerance is involved. Then
+    facet F it lies on, read off Qhull's combinatorics or the 2-D chain, so
+    no activity tolerance is involved. Then
 
         ||A||  = max over v, F of n_F . (A v),
         mu(A)  = max over pairs (v, F) of n_F . (A v),
@@ -147,11 +193,15 @@ class _Polytope:
 
     @classmethod
     def hull_of(cls, P: np.ndarray) -> "_Polytope":
-        """The polytope conv(P), from one Qhull call (none in 1-D)."""
-        if P.shape[1] == 1:
+        """The polytope conv(P): the end points in 1-D, the monotone chain
+        in 2-D, one Qhull call above."""
+        n = P.shape[1]
+        if n == 1:
             V = np.array([[P[:, 0].min()], [P[:, 0].max()]])
             # the facet at each end point v is x . (1/v) = 1
             return cls(V, 1.0 / V, np.arange(2), np.arange(2))
+        if n == 2:
+            return cls._polygon(P)
         from scipy.spatial import ConvexHull, QhullError
 
         try:
@@ -160,7 +210,6 @@ class _Polytope:
             raise DegenerateBall(f"vertex set does not span a full-dimensional ball: {exc}") from exc
         # Qhull triangulates each facet and copies its equation to every
         # simplex of it, so bytewise-equal rows are one facet.
-        n = P.shape[1]
         rows = np.ascontiguousarray(hull.equations).view(np.dtype((np.void, 8 * (n + 1))))
         _, first, facet_of = np.unique(rows.ravel(), return_index=True, return_inverse=True)
         eq = hull.equations[first]
@@ -173,7 +222,58 @@ class _Polytope:
         vertex = np.searchsorted(ext, hull.simplices).ravel()
         keys = np.unique(np.repeat(facet_of.ravel(), n) * ext.size + vertex)
         pair_facet, pair_vertex = np.divmod(keys, ext.size)
-        return cls._sorted(P[ext], eq[:, :-1] / offsets[:, None], pair_vertex, pair_facet)
+        # Qhull also lists boundary points that are not extreme; a point is
+        # extreme exactly when the normals of its facets span R^n
+        degree = np.bincount(pair_vertex, minlength=ext.size)
+        by_vertex = np.argsort(pair_vertex, kind="stable")
+        first_pair = np.cumsum(degree) - degree
+        extreme = np.zeros(ext.size, dtype=bool)
+        for k in np.unique(degree[degree >= n]):
+            vs = np.flatnonzero(degree == k)
+            incident = pair_facet[by_vertex[first_pair[vs][:, None] + np.arange(k)]]
+            extreme[vs] = np.linalg.matrix_rank(eq[incident, :-1]) == n
+        keep = extreme[pair_vertex]
+        row_of = np.cumsum(extreme) - 1
+        return cls._sorted(
+            P[ext[extreme]], eq[:, :-1] / offsets[:, None], row_of[pair_vertex[keep]], pair_facet[keep]
+        )
+
+    @classmethod
+    def _polygon(cls, P: np.ndarray) -> "_Polytope":
+        """conv(P) in the plane by Andrew's monotone chain (Inf. Process.
+        Lett. 9, 1979). Popping every turn that is not strictly left keeps
+        extreme points only. The chain runs counterclockwise; edge k joins
+        vertices k and k + 1, whose normal solves n . v_k = n . v_{k+1} = 1,
+        and vertex k lies on edges k - 1 and k."""
+        points = P[np.lexsort(P.T[::-1])].tolist()
+
+        def half(run):
+            chain = []
+            for x, y in run:
+                while len(chain) >= 2:
+                    (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                    turn = (ax - ox) * (y - oy) - (ay - oy) * (x - ox)
+                    if not math.isfinite(turn):
+                        raise ValidationError("vertex coordinates are too large: the hull arithmetic overflows")
+                    if turn > 0:
+                        break
+                    chain.pop()
+                chain.append((x, y))
+            return chain[:-1]
+
+        V = np.array(half(points) + half(points[::-1]))
+        if V.shape[0] < 3:
+            raise DegenerateBall("vertex set does not span a full-dimensional ball: its hull is flat")
+        (x, y), (x1, y1) = V.T, np.roll(V, -1, axis=0).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = x * y1 - x1 * y
+            normals = np.column_stack([y1 - y, x - x1]) / np.where(det > 0, det, 1.0)[:, None]
+        if not (np.all(np.isfinite(det)) and np.all(np.isfinite(normals))):
+            raise ValidationError("vertex coordinates are too large: the hull arithmetic overflows")
+        if np.any(det <= 0):
+            raise DegenerateBall("origin is not interior to the ball")
+        k = np.arange(V.shape[0])
+        return cls._sorted(V, normals, np.concatenate([k, k]), np.concatenate([(k - 1) % k.size, k]))
 
     @classmethod
     def _sorted(cls, V, normals, pair_vertex, pair_facet) -> "_Polytope":
@@ -195,8 +295,10 @@ class _Polytope:
         return np.maximum(scores.max(axis=0), 0.0)
 
     def _scores(self, A: np.ndarray) -> np.ndarray:
-        """n_F . (A v) for every facet F (rows) and vertex v (columns)."""
-        return (self.normals @ A) @ self.vertices.T
+        """n_F . (A v) for every facet F (rows) and vertex v (columns); an
+        overflow gives a non-finite score, which the caller reports."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (self.normals @ A) @ self.vertices.T
 
     def induced_norm(self, A: np.ndarray) -> float:
         return float(self._scores(A).max())
@@ -467,10 +569,10 @@ def _piecewise_sampled_checks(table: "dict[int, ValidatedNorm]", n: int, rng: np
 
 
 def _piecewise_polytope(cases: dict[str, ValidatedNorm], n: int) -> _Polytope | None:
+    """The glued ball as the hull of its pieces B_sigma ∩ Q_sigma (the inner
+    ball cut to its closed orthant), or None when a piece is not a polytope."""
     if n > MAX_PIECEWISE_VERTEX_DIM:
         return None
-    from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
-
     pieces = []
     for signs, inner in cases.items():
         try:
@@ -478,10 +580,16 @@ def _piecewise_polytope(cases: dict[str, ValidatedNorm], n: int) -> _Polytope | 
         except NotPolyhedral:
             return None
         sigma = np.array([1.0 if c == "+" else -1.0 for c in signs])
-        if n == 1:
-            a = float(np.max(np.abs(Vin)))
-            pieces.append(np.array([[0.0], [sigma[0] * a]]))
+        if n <= 2:
+            # the extreme points of the piece are the inner vertices in the
+            # quadrant, the axis points sigma_i e_i / |sigma_i e_i| and the
+            # origin, which is interior to the glued ball and left out
+            axes = np.diag(sigma)
+            pieces.append(Vin[np.all(Vin * sigma >= 0.0, axis=1)])
+            pieces.append(axes / inner.evaluate_many(axes)[:, None])
             continue
+        from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
+
         hull_in = ConvexHull(Vin)
         orth = np.zeros((n, n + 1))
         orth[:, :n] = -np.diag(sigma)

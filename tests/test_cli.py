@@ -359,6 +359,60 @@ def test_import_loads_neither_scipy_optimize_nor_spatial():
     assert done.stdout.strip() == "[]"
 
 
+def test_planar_examples_load_no_scipy():
+    # the polygon examples build their balls in numpy; scipy.spatial alone
+    # cost about half a second of every such call
+    src = str(Path(logmeasure.__file__).resolve().parents[1])
+    probe = (
+        "import contextlib, io, sys\n"
+        "from logmeasure.cli import main\n"
+        "for argv in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv.split()) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    slots = [f"{cmd} --example {ex}" for cmd in ("measure", "classify") for ex in ("hexagon", "parallelogram")]
+    slots += ["battery", "battery --format text"]
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", probe, *slots], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "[]"
+    assert "scipy.spatial" not in done.stdout
+
+
+HUGE_INPUTS = {
+    # the planar hull's cross products overflow: a one-line refusal
+    "polygon_1e308": ("measure", {"matrix": [[1, 0], [0, 1]], "norm": {
+        "kind": "polyhedral", "vertices": [[1e308, 0], [-1e308, 0], [0, 1], [0, -1]]}}, 65),
+    # full-dimensional, and its arithmetic stays finite (Qhull called it flat)
+    "polygon_1e200": ("measure", {"matrix": [[1, 0], [0, 1]], "norm": {
+        "kind": "polyhedral", "vertices": [[1e200, 0], [-1e200, 0], [0, 1], [0, -1]]}}, 0),
+    "matrix_linf": ("measure", {"matrix": [[1e308, -1e308], [1, -2]], "norm": {"kind": "lp", "p": "inf"}}, 65),
+    "matrix_l2": ("measure", {"matrix": [[1e308, -1e308], [1, -2]], "norm": {"kind": "lp", "p": 2}}, 65),
+    "polygon_norm_of_huge_matrix": ("measure", {"matrix": [[1e308, 1e308], [1, -2]], "norm": {
+        "kind": "polyhedral", "vertices": [[2, 2], [-2, -2], [1, -1], [-1, 1]]}}, 65),
+    "diffusion_1e308": ("diffusion", {"matrix": [[1, -3], [1, -2]], "D": [1, 1], "x0": [1e308, 0],
+                                      "z0": [-1e308, 1], "horizon": 1, "dt": 0.01}, 65),
+    # sqrt(2) |x0 - z0|_inf = 1.41e308 is just under MAX_INITIAL_STATE
+    "diffusion_near_bound": ("diffusion", {"matrix": [[1, -3], [1, -2]], "D": [1, 1], "x0": [5e307, 0],
+                                           "z0": [-5e307, 1], "horizon": 1, "dt": 0.01}, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_INPUTS))
+def test_huge_inputs_get_a_typed_answer_and_no_warning(capsys, tmp_path, case):
+    cmd, doc, expected = HUGE_INPUTS[case]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        code, out, err = _run(capsys, cmd, "--in", _write_doc(tmp_path, doc))
+    assert code == expected
+    assert "Traceback" not in err and "Warning" not in err
+    if code == 0:
+        parsed = json.loads(out, parse_constant=lambda name: pytest.fail(f"invalid JSON constant {name}"))
+        if cmd == "measure":
+            assert parsed["value"] == 1.0
+    else:
+        assert out == "" and len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------- seeds
 
 

@@ -10,6 +10,7 @@ import pytest
 from logmeasure import (
     Lp,
     NotCentrallySymmetric,
+    PiecewiseOrthant,
     Polyhedral,
     Scaled,
     builtin_battery,
@@ -29,7 +30,7 @@ from logmeasure import (
 from logmeasure.classify import _projection_witness_scaled, _sign_normalize
 from logmeasure.common import TOL_EXACT, TOL_VERTEX
 from logmeasure.measures import _closed_mu_many, _closed_norm_many
-from logmeasure.norms import _check_symmetric, _dedup_rows, _lp_eval_many
+from logmeasure.norms import _Polytope, _check_symmetric, _dedup_rows, _lp_eval_many, _near_pairs
 from logmeasure.stability import ADMISSIBILITY_TOL, FALSIFY_THRESHOLD, _abscissa_many, _pattern_search
 
 
@@ -531,3 +532,152 @@ def test_vertex_matching_counts_distance_tol_as_a_match():
     _check_symmetric(np.vstack([V, -V + [tol, 0.0]]), tol)
     with pytest.raises(NotCentrallySymmetric):
         _check_symmetric(np.vstack([V, -V + [2.0 * tol, 0.0]]), tol)
+
+
+def reference_near_pairs(V, tol):
+    """The pairs i < j within tol (max-norm), from scipy's KD-tree."""
+    from scipy.spatial import cKDTree
+
+    pairs = cKDTree(V).query_pairs(tol, p=np.inf, output_type="ndarray")
+    return {tuple(p) for p in pairs.tolist()}
+
+
+def _clustered_point_sets():
+    """Planar and linear sets with near-duplicates at distances around tol."""
+    rng = np.random.default_rng(31)
+    tol = TOL_VERTEX
+    yield np.array([[0.0, 1.0], [1e-10, 5.0], [2e-10, 1.0]])  # near rows apart in sort order
+    # many points on one vertical edge, each within tol of its two neighbours
+    yield np.column_stack([np.full(2000, 1.0), 1.0 + 0.6 * tol * np.arange(2000)])
+    for n in (1, 2):
+        for _ in range(20):
+            base = rng.standard_normal((int(rng.integers(2, 15)), n)) * 10.0 ** rng.uniform(-3, 3)
+            jitter = tol * rng.uniform(-1.5, 1.5, (base.shape[0] * 3, n))
+            V = np.repeat(base, 3, axis=0) + jitter * (rng.random((base.shape[0] * 3, 1)) < 0.7)
+            yield V[rng.permutation(V.shape[0])]
+
+
+CLUSTERED = list(_clustered_point_sets())
+
+
+@pytest.mark.parametrize("k", range(len(CLUSTERED)))
+def test_near_pairs_match_the_kd_tree(k):
+    V = CLUSTERED[k]
+    got = _near_pairs(V, V, TOL_VERTEX)
+    got = {tuple(p) for p in got.tolist() if p[0] < p[1]}
+    assert got == reference_near_pairs(V, TOL_VERTEX)
+    from scipy.spatial import cKDTree
+
+    dist, _ = cKDTree(V).query(-V, p=np.inf)
+    has_antipode = np.zeros(V.shape[0], dtype=bool)
+    has_antipode[_near_pairs(-V, V, TOL_VERTEX)[:, 0]] = True
+    assert np.array_equal(has_antipode, dist <= TOL_VERTEX)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_near_pairs_of_huge_points_do_not_overflow(n):
+    # the KD-tree overflows on these; the grid clips their cells
+    tol = TOL_VERTEX
+    V = np.array([[1e308, 0.0], [1e308, tol], [-1e308, 0.0], [0.0, 1.0]])[:, :n]
+    with np.errstate(all="raise"):
+        assert _near_pairs(V, V, tol)[:, 0].tolist() == [0, 0, 1, 1, 2, 3]
+        assert np.unique(_near_pairs(-V, V, tol)[:, 0]).tolist() == ([0, 1, 2] if n == 2 else [0, 1, 2, 3])
+
+
+def reference_polytope(P):
+    """The ball conv(P) from Qhull, as _Polytope.hull_of built it before it
+    had a planar path: (vertices in canonical order, normals, pairs)."""
+    from scipy.spatial import ConvexHull
+
+    hull = ConvexHull(P)
+    n = P.shape[1]
+    rows = np.ascontiguousarray(hull.equations).view(np.dtype((np.void, 8 * (n + 1))))
+    _, first, facet_of = np.unique(rows.ravel(), return_index=True, return_inverse=True)
+    eq = hull.equations[first]
+    ext = np.unique(hull.vertices)
+    vertex = np.searchsorted(ext, hull.simplices).ravel()
+    keys = np.unique(np.repeat(facet_of.ravel(), n) * ext.size + vertex)
+    pair_facet, pair_vertex = np.divmod(keys, ext.size)
+    return _Polytope._sorted(P[ext], eq[:, :-1] / -eq[:, -1:], pair_vertex, pair_facet)
+
+
+def _facets_by_vertices(poly):
+    """{frozenset of a facet's vertex rows: its normal}, the facet order of
+    two builders being arbitrary."""
+    facets = {}
+    for v, f in zip(poly.pair_vertex.tolist(), poly.pair_facet.tolist()):
+        facets.setdefault(f, set()).add(v)
+    return {frozenset(vs): poly.normals[f] for f, vs in facets.items()}
+
+
+def _random_symmetric_polygons(count=320):
+    rng = np.random.default_rng(77)
+    for _ in range(count):
+        m = int(rng.integers(2, 13))
+        half = rng.standard_normal((m, 2)) * 10.0 ** rng.uniform(-4, 4)
+        yield np.vstack([half, -half])
+
+
+def test_planar_hull_matches_qhull_on_random_polygons():
+    for P in _random_symmetric_polygons():
+        got, want = _Polytope.hull_of(P), reference_polytope(P)
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+        got_facets, want_facets = _facets_by_vertices(got), _facets_by_vertices(want)
+        assert got_facets.keys() == want_facets.keys()
+        for vs, normal in got_facets.items():
+            v, w = got.vertices[sorted(vs)]
+            # n solves n . v = n . w = 1, a 2x2 system of condition about
+            # |v| |w| / det[v w]: thin polygons lose that many ulps in both builders
+            cond = np.linalg.norm(v) * np.linalg.norm(w) / abs(v[0] * w[1] - w[0] * v[1])
+            rel = np.abs(normal - want_facets[vs]).max() / np.abs(want_facets[vs]).max()
+            assert rel <= 4 * np.finfo(float).eps * cond
+
+
+def reference_piecewise_vertices(norm):
+    """The glued ball's extreme points as validation built them before the
+    planar path: each piece B_sigma ∩ Q_sigma from Qhull's halfspace
+    intersection, then the hull of their union."""
+    from scipy.spatial import ConvexHull, HalfspaceIntersection
+
+    pieces = []
+    for key, inner in norm._case_table.items():
+        sigma = np.where([(key >> i) & 1 for i in range(2)], -1.0, 1.0)
+        orth = np.zeros((2, 3))
+        orth[:, :2] = -np.diag(sigma)
+        H = np.vstack([ConvexHull(unit_ball_vertices(inner)).equations, orth])
+        x0 = sigma * (0.5 / float(inner.evaluate_many(sigma[None, :])[0]))
+        pieces.append(HalfspaceIntersection(H, x0).intersections)
+    return reference_polytope(_dedup_rows(np.vstack(pieces), TOL_VERTEX)).vertices
+
+
+def test_planar_piecewise_ball_matches_halfspace_intersection():
+    rng = np.random.default_rng(5)
+    for k in range(40):
+        t = np.diag(10.0 ** rng.uniform(-1, 1, 2))
+        agree, disagree = (np.inf, 1.0) if k % 2 else (1.0, np.inf)
+        cases = {"++": agree, "--": agree, "+-": disagree, "-+": disagree}
+        norm = validate_norm_spec(PiecewiseOrthant({s: Scaled(t, Lp(p)) for s, p in cases.items()}))
+        V = unit_ball_vertices(norm)
+        want = reference_piecewise_vertices(norm)
+        assert V.shape == want.shape == (6, 2)
+        # a zero coordinate that came out -1e-17 can change the row order
+        dist = np.abs(V[:, None, :] - want[None, :, :]).max(axis=2)
+        assert np.array_equal(np.sort(dist.argmin(axis=1)), np.arange(6))
+        # 1e-15 per unit of size: vertices reach 10 here, where an ulp is 1.8e-15
+        assert np.all(dist.min(axis=1) <= 1e-15 * (1.0 + np.abs(V).max(axis=1)))
+        # the four axis points come out exact: sigma_i e_i / |sigma_i e_i|
+        axes = np.vstack([np.eye(2), -np.eye(2)])
+        on_axes = axes / norm.evaluate_many(axes)[:, None]
+        assert {tuple(r) for r in on_axes.tolist()} <= {tuple(r) for r in V.tolist()}
+
+
+def test_polytope_keeps_extreme_points_only_in_seven_dimensions():
+    # the 7-D cube's vertices and the 448 boundary points with one zero
+    # coordinate: Qhull lists 240 of them as vertices
+    cube = np.array(list(itertools.product((1.0, -1.0), repeat=7)))
+    boundary = np.unique(np.vstack([cube * (np.arange(7) != k) for k in range(7)]), axis=0)
+    assert boundary.shape == (448, 7)
+    norm = validate_norm_spec(Polyhedral(np.vstack([cube, boundary])))
+    assert unit_ball_vertices(norm).tobytes() == unit_ball_vertices(validate_norm_spec(Polyhedral(cube))).tobytes()
+    assert norm._polytope.pair_vertex.size == 128 * 7
+    assert matrix_measure(-np.eye(7), norm).value == -1.0
