@@ -242,8 +242,6 @@ def _render_measure(payload: dict, fmt: str) -> str:
         f"method: {payload['method']}",
         f"error bound: {payload['error_bound']:.3g}",
     ]
-    if payload.get("h_used") is not None:
-        lines.append(f"quotient step: {payload['h_used']:.3g}")
     return "\n".join(lines) + "\n"
 
 

@@ -34,9 +34,10 @@ value = lower and error_bound = (upper - lower) plus a few-ulp pad:
 In two dimensions a branch-and-bound over the angle of x closes the bracket
 to ``BRACKET_GAP`` times sum |M_ij|, unless ``BRACKET_MAX_EVALS`` stops it
 first; in any other dimension the lower bound comes from a stacked ascent
-and the bracket can be wide. Other estimated norms (piecewise norms above
-``MAX_PIECEWISE_VERTEX_DIM``, whose ball is not rebuilt) keep a multi-start
-Nelder-Mead ascent for norms and a decreasing-h quotient for measures.
+and the bracket can be wide. The other estimated norms, piecewise norms
+with a non-polytopal piece or above ``MAX_PIECEWISE_VERTEX_DIM``, have no
+certified route: every matrix-level operation raises ``NoExactPath`` for
+them.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 
 from .common import TOL_EXACT, as_rng, as_square_matrix
 from .errors import DimensionMismatch, EigenFailure, NoExactPath
-from .norms import ValidatedNorm, _lp_eval_many
+from .norms import MAX_PIECEWISE_VERTEX_DIM, ValidatedNorm, _lp_eval_many
 
 
 @dataclass
@@ -56,14 +57,13 @@ class MeasureResult:
     """Value of an induced norm or matrix measure plus provenance.
 
     error_bound is 0 exactly when the method is one of the exact routes.
-    h_used records the final finite-difference step of the decreasing-h
-    quotient, which only estimated norms without an l_p core still take;
-    every other route leaves it None.
     """
 
     value: float
     method: str
     error_bound: float = 0.0
+    # always None: no route takes a finite-difference step, but the
+    # benchmark's tracer (perfbench/tracer.py) still reads the attribute
     h_used: float | None = None
 
     def __post_init__(self) -> None:
@@ -75,14 +75,11 @@ class MeasureResult:
             raise ValueError("error_bound must be positive iff method == 'estimated'")
 
     def to_jsonable(self) -> dict:
-        doc = {
+        return {
             "value": self.value,
             "method": self.method,
             "error_bound": self.error_bound,
         }
-        if self.h_used is not None:
-            doc["h_used"] = self.h_used
-        return doc
 
 
 # the method label each closed-form route reports
@@ -304,62 +301,30 @@ def _lp_bracket(M: np.ndarray, p: float, quantity: str, seed) -> MeasureResult:
     return MeasureResult(lower, "estimated", max(upper - lower, 0.0) + pad)
 
 
+def _require_lp_core(norm: ValidatedNorm) -> None:
+    if not _has_lp_core(norm):
+        raise NoExactPath(
+            f"no certified estimate under this {norm.kind} norm: estimates cover l_p cores, 1 < p < inf, "
+            f"and a piecewise norm is exact only with polytope pieces and n <= {MAX_PIECEWISE_VERTEX_DIM}"
+        )
+
+
 def estimate_induced_norm(
     A,
     norm: ValidatedNorm,
     *,
     seed: int | np.random.Generator | None = None,
 ) -> MeasureResult:
-    """Estimate of ||A|| with an error bound, for norms with no exact route.
+    """Certified estimate of ||A|| for a norm with an l_p core, 1 < p < inf.
 
-    A norm with an l_p core, 1 < p < inf, gets the certified bracket of the
-    module doc: value is a lower bound attained at a concrete vector and
-    value + error_bound an upper bound. Any other norm gets Nelder-Mead
-    maximizing |Ax| / |x| from 12 starts: all-ones, the unit vectors,
-    +/- the top right singular vector, then random ones. Its value is a
-    lower bound attained at a concrete vector; its error_bound is the
-    spread of the converged starts plus the termination tolerance, a
-    heuristic gap indicator rather than a rigorous bracket.
+    The bracket of the module doc: value is a lower bound attained at a
+    concrete vector and value + error_bound an upper bound. Any other norm
+    raises NoExactPath; the ones with an exact route take
+    induced_matrix_norm.
     """
     A = _bind_matrix(A, norm)
-    if _has_lp_core(norm):
-        return _lp_bracket(_core_frame(A, norm), norm.core_p, "norm", seed)
-    # scipy.optimize costs most of the package's import time, and only this
-    # route needs it
-    from scipy.optimize import minimize
-
-    n = A.shape[0]
-    rng = as_rng(seed)
-
-    def ratio(x: np.ndarray) -> float:
-        nx = float(norm.evaluate_many(x[None, :])[0])
-        if nx < 1e-12:
-            return 0.0
-        return float(norm.evaluate_many((A @ x)[None, :])[0]) / nx
-
-    start_list: list[np.ndarray] = [np.ones(n)]
-    start_list.extend(np.eye(n))
-    try:
-        _, _, vt = np.linalg.svd(A)
-        start_list.extend([vt[0], -vt[0]])
-    except np.linalg.LinAlgError:
-        pass
-    while len(start_list) < 12:
-        start_list.append(rng.standard_normal(n))
-
-    results = []
-    for u0 in start_list:
-        res = minimize(
-            lambda u: -ratio(u),
-            u0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-12, "maxiter": 2000, "maxfev": 4000},
-        )
-        results.append(max(-float(res.fun), ratio(u0)))
-    value = max(results)
-    spread = value - min(results)
-    error_bound = spread + 1e-9 * (1.0 + abs(value))
-    return MeasureResult(value, "estimated", error_bound)
+    _require_lp_core(norm)
+    return _lp_bracket(_core_frame(A, norm), norm.core_p, "norm", seed)
 
 
 def induced_matrix_norm(
@@ -391,38 +356,8 @@ def matrix_measure(
         return MeasureResult(float(_closed_mu_many(A, norm)), _CLOSED_METHODS[route])
     if route == "polyhedral":
         return MeasureResult(norm._polytope.measure(A), "exact_polyhedral")
-    if _has_lp_core(norm):
-        return _lp_bracket(_core_frame(A, norm), norm.core_p, "measure", seed)
-    return _estimated_measure(A, norm, seed)
-
-
-def _estimated_measure(A: np.ndarray, norm: ValidatedNorm, seed) -> MeasureResult:
-    """Decreasing-h quotient with the gap between successive quotients
-    reported, for estimated norms without an l_p core.
-
-    The quotient is nonincreasing as h decreases and upper-bounds the
-    measure, so the final value is a monotone upper estimate.
-    """
-    rng = as_rng(seed)
-    eye = np.eye(A.shape[0])
-
-    def quotient(h: float) -> tuple[float, float]:
-        nr = estimate_induced_norm(eye + h * A, norm, seed=rng)
-        return (nr.value - 1.0) / h, nr.error_bound / h
-
-    h = 1e-3
-    prev, _ = quotient(h)
-    gap = math.inf
-    nerr = 0.0
-    for _ in range(10):
-        h /= 2
-        cur, nerr = quotient(h)
-        gap = abs(prev - cur)
-        prev = cur
-        if gap <= 1e-6 * (1.0 + abs(cur)):
-            break
-    error_bound = gap + nerr + 1e-9 * (1.0 + abs(prev))
-    return MeasureResult(prev, "estimated", error_bound, h_used=h)
+    _require_lp_core(norm)
+    return _lp_bracket(_core_frame(A, norm), norm.core_p, "measure", seed)
 
 
 def measure_quotient(A, norm: ValidatedNorm, h: float, *, seed=None) -> float:

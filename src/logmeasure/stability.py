@@ -59,6 +59,9 @@ from .norms import Lp, Scaled, ValidatedNorm, validate_norm_spec
 ADMISSIBILITY_TOL = 1e-9
 HURWITZ_TOL = 1e-9
 FALSIFY_THRESHOLD = 1e-6
+# Rounding slack of the diagonal cross-checks, per unit of the inputs'
+# size: measures of order 1e8 round in their last ulps far above 1e-9.
+_ROUNDING_SLACK = 64 * float(np.finfo(float).eps)
 # Largest irreducible block whose 2^m - 1 principal minors are enumerated.
 MINOR_MAX_DIM = 8
 # The shifts t tried for one negative minor: (1 + ||B||_inf) * 2^k.
@@ -184,7 +187,8 @@ def measure_of_diagonal(
     """mu(D) for diagonal D (entries of either sign).
 
     Under an admissible measure this equals max_i d_ii, and mu(-D) equals
-    -min_i d_ii; both identities are asserted to 1e-9. For inadmissible
+    -min_i d_ii; both identities are asserted to 1e-9 plus a few ulps of
+    max_i |d_ii|. For inadmissible
     norms the value is still returned, flagged with NotAdmissibleWarning.
     """
     d = diag_entries(D, norm.dim)
@@ -198,7 +202,8 @@ def measure_of_diagonal(
         )
         return value
     neg = matrix_measure(-np.diag(d), norm).value
-    if abs(value - d.max()) > 1e-9 or abs(neg + d.min()) > 1e-9:
+    tol = 1e-9 + _ROUNDING_SLACK * float(np.abs(d).max())
+    if abs(value - d.max()) > tol or abs(neg + d.min()) > tol:
         raise InconsistentOracles("admissible measure violated the diagonal identities")
     return value
 
@@ -207,7 +212,8 @@ def perturbation_bounds(A, D, norm: ValidatedNorm) -> tuple[float, float, float]
     """(lo, hi, mu_exact) with lo = mu(A) - max d_ii, hi = mu(A) - min d_ii.
 
     Requires an orthant-monotonic norm with an exact measure path; the
-    directly computed mu(A - D) is asserted to lie in [lo, hi].
+    directly computed mu(A - D) is asserted to lie in [lo, hi], widened by
+    1e-9 plus a few ulps of |mu(A)| + max |d_ii|.
     """
     A = as_square_matrix(A, norm.dim)
     d = diag_entries(D, A.shape[0])
@@ -220,7 +226,8 @@ def perturbation_bounds(A, D, norm: ValidatedNorm) -> tuple[float, float, float]
     lo = mu_a - float(d.max())
     hi = mu_a - float(d.min())
     mu_exact = matrix_measure(A - np.diag(d), norm).value
-    if not (lo - 1e-9 <= mu_exact <= hi + 1e-9):
+    tol = 1e-9 + _ROUNDING_SLACK * (abs(mu_a) + float(np.abs(d).max()))
+    if not (lo - tol <= mu_exact <= hi + tol):
         raise InconsistentOracles(
             f"mu(A-D) = {mu_exact:.12g} escaped [{lo:.12g}, {hi:.12g}]"
         )

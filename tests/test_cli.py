@@ -336,6 +336,16 @@ def test_integer_fields_refuse_non_integers_and_oversized_budgets(capsys, tmp_pa
     assert started[1] == {"family": None, "budget": 4, "falsify_budget": 100_000, "seed": logmeasure.DEFAULT_SEED}
 
 
+def test_piecewise_norm_without_exact_route_is_refused(capsys, tmp_path):
+    # l_2 pieces are not polytopes: no exact route, and no certified estimate
+    cases = [{"signs": s, "inner": {"kind": "lp", "p": 2}} for s in ("++", "+-", "-+", "--")]
+    doc = {"matrix": [[-1, 0.5], [0.2, -1]], "norm": {"kind": "piecewise_orthant", "cases": cases}}
+    for op in ("measure", "norm"):
+        code, out, err = _run(capsys, "measure", "--in", _write_doc(tmp_path, {**doc, "op": op}))
+        assert (code, out) == (65, ""), op
+        assert len(err.splitlines()) == 1 and "NoExactPath" in err and "Traceback" not in err
+
+
 def test_huge_p_measure_brackets_the_linf_value(capsys, tmp_path):
     # p = 1e308 used to overflow |x|^p: a RuntimeWarning and a value of -1,024,000
     # the l_inf values, measure -0.5 and norm 1.5, are the limits as p grows

@@ -179,8 +179,9 @@ def reference_evaluate_many(spec, X):
 
 
 def _reassociated(spec) -> bool:
-    """A scaling of a polytope ball, or a chain of scalings."""
-    return isinstance(spec, Scaled) and isinstance(spec.inner, (Scaled, Polyhedral))
+    """A scaling of a polytope ball (a polyhedral spec, or a piecewise one
+    held as its rebuilt polytope), or a chain of scalings."""
+    return isinstance(spec, Scaled) and isinstance(spec.inner, (Scaled, Polyhedral, PiecewiseOrthant))
 
 
 _T1 = np.array([[1.0, 0.4, 0.0], [-0.3, 2.0, 0.1], [0.2, 0.0, 0.5]])

@@ -640,8 +640,9 @@ def reference_piecewise_vertices(norm):
     from scipy.spatial import ConvexHull, HalfspaceIntersection
 
     pieces = []
-    for key, inner in norm._case_table.items():
-        sigma = np.where([(key >> i) & 1 for i in range(2)], -1.0, 1.0)
+    for signs, spec in norm.spec.cases.items():
+        inner = validate_norm_spec(spec, dim=2)
+        sigma = np.array([1.0 if c == "+" else -1.0 for c in signs])
         orth = np.zeros((2, 3))
         orth[:, :2] = -np.diag(sigma)
         H = np.vstack([ConvexHull(unit_ball_vertices(inner)).equations, orth])
@@ -666,9 +667,11 @@ def test_planar_piecewise_ball_matches_halfspace_intersection():
         # 1e-15 per unit of size: vertices reach 10 here, where an ulp is 1.8e-15
         assert np.all(dist.min(axis=1) <= 1e-15 * (1.0 + np.abs(V).max(axis=1)))
         # the four axis points come out exact: sigma_i e_i / |sigma_i e_i|
-        axes = np.vstack([np.eye(2), -np.eye(2)])
-        on_axes = axes / norm.evaluate_many(axes)[:, None]
-        assert {tuple(r) for r in on_axes.tolist()} <= {tuple(r) for r in V.tolist()}
+        # under the pieces (the glued norm, a gauge, may differ by an ulp)
+        for signs, spec in norm.spec.cases.items():
+            axes = np.diag([1.0 if c == "+" else -1.0 for c in signs])
+            on_axes = axes / validate_norm_spec(spec, dim=2).evaluate_many(axes)[:, None]
+            assert {tuple(r) for r in on_axes.tolist()} <= {tuple(r) for r in V.tolist()}
 
 
 def test_polytope_keeps_extreme_points_only_in_seven_dimensions():

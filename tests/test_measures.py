@@ -22,6 +22,7 @@ from logmeasure import (
     Polyhedral,
     Scaled,
     check_measure_sandwich,
+    estimate_induced_norm,
     hexagon_spec,
     induced_matrix_norm,
     matrix_measure,
@@ -247,16 +248,20 @@ def test_estimated_route_on_diagonal_matrices():
         assert rm.value == pytest.approx(np.max(d), abs=rm.error_bound + 1e-4)
 
 
-def test_piecewise_residue_keeps_the_quotient_estimator():
-    # above the reconstruction cap a piecewise norm has neither a polytope
-    # nor an l_p core; all-l_1 cases glue to l_1, where mu(D) = max d_ii
+def test_piecewise_residue_is_exact_or_refused():
+    # all-l_1 cases glue to l_1, where mu(D) = max d_ii: at n = 4 the ball
+    # is rebuilt, so the measure is exact
     cases = {"".join(s): Lp(1.0) for s in itertools.product("+-", repeat=4)}
     norm = validate_norm_spec(PiecewiseOrthant(cases))
-    assert norm.route == "estimated" and norm.core_p is None
-    rm = matrix_measure(np.diag([0.5, -1.0, 2.0, -3.0]), norm, seed=1)
-    assert rm.method == "estimated" and rm.h_used is not None
-    assert "h_used" in rm.to_jsonable()
-    assert rm.value == pytest.approx(2.0, abs=rm.error_bound + 1e-6)
+    assert norm.route == "polyhedral" and norm._case_table is None
+    rm = matrix_measure(np.diag([0.5, -1.0, 2.0, -3.0]), norm)
+    assert (rm.value, rm.method) == (2.0, "exact_polyhedral")
+    # a non-polytopal piece leaves no exact route and no certified estimate
+    disc = validate_norm_spec(PiecewiseOrthant({"++": Lp(2.0), "--": Lp(2.0), "+-": Lp(1.0), "-+": Lp(1.0)}))
+    assert disc.route == "estimated" and disc._case_table is not None
+    for fn in (matrix_measure, induced_matrix_norm, estimate_induced_norm):
+        with pytest.raises(NoExactPath):
+            fn(np.eye(2), disc)
 
 
 def test_estimated_route_is_seed_deterministic():
@@ -394,6 +399,15 @@ def test_lp_bracket_needs_no_scipy_optimize():
         "        A = np.arange(n * n, dtype=float).reshape(n, n) - 3\n"
         "        lm.matrix_measure(A, norm), lm.induced_matrix_norm(A, norm)\n"
         "        lm.estimate_induced_norm(A, norm)\n"
+        "cases = {s: lm.Lp(2.0 if s in ('++', '--') else 1.0) for s in ('++', '--', '+-', '-+')}\n"
+        "residue = lm.validate_norm_spec(lm.PiecewiseOrthant(cases))\n"
+        "for fn in (lm.matrix_measure, lm.induced_matrix_norm, lm.estimate_induced_norm):\n"
+        "    try:\n"
+        "        fn(np.eye(2), residue)\n"
+        "    except lm.NoExactPath:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise SystemExit(f'{fn.__name__} did not refuse the residue norm')\n"
         "print('scipy.optimize' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": src}

@@ -1,5 +1,6 @@
 """Norm validation, evaluation, polytope geometry, and JSON round trips."""
 
+import itertools
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from logmeasure import (
     DegenerateBall,
@@ -24,6 +26,8 @@ from logmeasure import (
     ValidationError,
     eval_norm,
     hexagon_spec,
+    induced_matrix_norm,
+    matrix_measure,
     norm_spec_from_json,
     norm_spec_to_json,
     parallelogram_spec,
@@ -31,7 +35,9 @@ from logmeasure import (
     unit_ball_vertices,
     validate_norm_spec,
 )
+from logmeasure import norms
 from logmeasure.battery import builtin_battery
+from logmeasure.norms import _orthant_index, _pattern_indices, _piecewise_eval, _piecewise_sampled_checks
 
 RNG = np.random.default_rng(20260819)
 
@@ -148,6 +154,172 @@ def test_piecewise_mirrored_hexagon_is_valid():
     V = unit_ball_vertices(norm)
     expected = {(1.0, 0.0), (1.0, -1.0), (0.0, -1.0), (-1.0, 0.0), (-1.0, 1.0), (0.0, 1.0)}
     assert {tuple(v) for v in np.round(V, 9)} == expected
+
+
+def _dent_spec() -> PiecewiseOrthant:
+    # every piece is a norm and the pieces agree on the axes, but the glued
+    # ball has a re-entrant corner at (1, 0): f(x) = f(y) = 1 at
+    # x = (1 + 1e-5, 1e-3) and y = (1, -1e-3), and f((x + y) / 2) = 1.000005
+    agree = np.array([[1.0, 0.0], [1.0 + 1e-5, 1e-3], [0.0, 1.0]])
+    mixed = np.array([[1.0, 0.0], [1.0, -1e-3], [0.0, 1.0]])
+    a, m = Polyhedral(np.vstack([agree, -agree])), Polyhedral(np.vstack([mixed, -mixed]))
+    return PiecewiseOrthant({"++": a, "--": a, "+-": m, "-+": m})
+
+
+def test_piecewise_dent_is_refused_for_every_seed():
+    # sampling would have to hit a 0.06 degree wedge on both sides of the axis
+    for seed in range(20):
+        with pytest.raises(NotConvex, match="1.000005"):
+            validate_norm_spec(_dent_spec(), seed=seed)
+
+
+def _ball_vertices(equations: np.ndarray, interior: np.ndarray) -> np.ndarray:
+    """Vertices of {x : A x + b <= 0}, from Qhull's halfspace intersection."""
+    return HalfspaceIntersection(equations, interior).intersections
+
+
+def _random_glued_polygon(rng):
+    """The cases of a piecewise norm whose glued ball is a random symmetric
+    polygon K: piece sigma is K cut by a slab |a . x| <= c that holds all of
+    K's quadrant sigma, so that B_sigma ∩ Q_sigma = K ∩ Q_sigma."""
+    W = rng.standard_normal((int(rng.integers(2, 6)), 2))
+    K = ConvexHull(np.vstack([W, -W])).equations
+    cases = {}
+    for signs in ("++", "+-", "-+", "--"):
+        sigma = np.array([1.0 if c == "+" else -1.0 for c in signs])
+        quadrant = np.vstack([K, np.column_stack([-np.diag(sigma), np.zeros(2)])])
+        P = _ball_vertices(quadrant, 1e-3 * sigma)
+        a = rng.standard_normal(2)
+        c = np.abs(P @ a).max()
+        slab = np.array([[a[0], a[1], -c], [-a[0], -a[1], -c]])
+        cases[signs] = Polyhedral(_ball_vertices(np.vstack([K, slab]), np.zeros(2)))
+    return cases
+
+
+def test_random_glued_polygons_validate_and_evaluate_as_their_pieces():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        cases = _random_glued_polygon(rng)
+        norm = validate_norm_spec(PiecewiseOrthant(cases))
+        assert norm.route == "polyhedral" and norm._case_table is None
+        X = rng.standard_normal((50, 2))
+        X[::5, 0] = 0.0
+        want = np.empty(50)
+        for signs, spec in cases.items():
+            sigma = np.array([1.0 if c == "+" else -1.0 for c in signs])
+            inside = np.all(X * sigma >= 0.0, axis=1)
+            want[inside] = validate_norm_spec(spec).evaluate_many(X[inside])
+        assert np.all(np.abs(norm.evaluate_many(X) - want) <= 1e-12 * want)
+
+
+def test_random_planted_dents_are_refused():
+    # push the glued ball out by 1e-3 just inside quadrant sigma, next to its
+    # axis point u, in sigma and (to keep it symmetric) in -sigma: the
+    # midpoint of that bulge and a boundary point just across the axis lies
+    # outside the ball, so the glued function is not convex
+    rng = np.random.default_rng(43)
+    for _ in range(50):
+        cases = _random_glued_polygon(rng)
+        norm = validate_norm_spec(PiecewiseOrthant(cases))
+        signs = ("++", "+-", "-+", "--")[int(rng.integers(4))]
+        sigma = np.array([1.0 if c == "+" else -1.0 for c in signs])
+        i = int(rng.integers(2))
+        u = sigma[i] * np.eye(2)[i] / norm(sigma[i] * np.eye(2)[i])
+        w = 1.001 * u + 1e-6 * np.abs(u).max() * sigma[1 - i] * np.eye(2)[1 - i]
+        flipped = "".join("+" if c == "-" else "-" for c in signs)
+        for key in (signs, flipped):
+            V = np.asarray(cases[key].vertices)
+            cases[key] = Polyhedral(np.vstack([V, w, -w]))
+        with pytest.raises(NotConvex):
+            validate_norm_spec(PiecewiseOrthant(cases))
+
+
+def test_piecewise_all_l1_and_all_linf_pieces_give_the_closed_forms():
+    rng = np.random.default_rng(47)
+    for n in (3, 4, 5):
+        for p in (1.0, np.inf):
+            cases = {"".join(s): Lp(p) for s in itertools.product("+-", repeat=n)}
+            norm = validate_norm_spec(PiecewiseOrthant(cases))
+            assert norm.route == "polyhedral" and norm._case_table is None
+            closed = validate_norm_spec(Lp(p), dim=n)
+            for _ in range(10):
+                A = rng.standard_normal((n, n))
+                for fn in (matrix_measure, induced_matrix_norm):
+                    want = fn(A, closed).value
+                    # Qhull's intersections of the l_1 pieces at n = 3 and 5
+                    # carry a few ulps
+                    assert fn(A, norm).value == pytest.approx(want, rel=1e-14, abs=1e-14)
+            d = np.array([0.5, -1.0, 2.0, -3.0, 1.5])[:n]
+            assert matrix_measure(np.diag(d), norm).value == pytest.approx(2.0, abs=1e-15)
+
+
+def test_polytope_pieces_are_never_sampled(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sampled checks ran")
+
+    monkeypatch.setattr(norms, "_piecewise_sampled_checks", refuse)
+    norm = validate_norm_spec(hexagon_spec())
+    assert norm._case_table is None and eval_norm([1.0, -1.0], norm) == 2.0
+
+
+def _old_sampled_checks(table, n, rng):
+    """The sampled checks with the boundary-agreement loop as it ran row
+    by row, as the reference for the stacked one."""
+    X = rng.standard_normal((200, n))
+    vx = _piecewise_eval(table, X)
+    vmx = _piecewise_eval(table, -X)
+    bad = np.abs(vx - vmx) > 1e-9 * (1 + np.abs(vx))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise NotCentrallySymmetric(f"|x| != |-x| at x={X[i].tolist()} ({vx[i]:.12g} vs {vmx[i]:.12g})")
+    for _ in range(200):
+        x = rng.standard_normal(n)
+        j = int(rng.integers(n))
+        x[j] = 0.0
+        base = ["+" if xi >= 0 else "-" for xi in x]
+        vals = []
+        for cj in "+-":
+            base[j] = cj
+            vals.append(float(table[_orthant_index("".join(base))].evaluate_many(x[None, :])[0]))
+        if abs(vals[0] - vals[1]) > 1e-9 * (1 + abs(vals[0])):
+            raise NotConvex(
+                f"orthant pieces disagree on the boundary at {x.tolist()}: {vals[0]:.12g} vs {vals[1]:.12g}"
+            )
+    X = rng.standard_normal((1000, n))
+    Y = rng.standard_normal((1000, n))
+    different = _pattern_indices(X) != _pattern_indices(Y)
+    X, Y = X[different], Y[different]
+    mid = 0.5 * (X + Y)
+    lhs = _piecewise_eval(table, mid)
+    rhs = 0.5 * (_piecewise_eval(table, X) + _piecewise_eval(table, Y))
+    bad = lhs > rhs + 1e-9 * (1 + rhs)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise NotConvex(
+            f"midpoint convexity fails between {X[i].tolist()} and {Y[i].tolist()}: "
+            f"|mid|={lhs[i]:.12g} > {rhs[i]:.12g}"
+        )
+
+
+def test_stacked_boundary_check_matches_the_row_by_row_loop():
+    half = Scaled(2.0 * np.eye(2), Lp(2.0))
+    for mixed in (Lp(3.0), half):
+        cases = {"++": Lp(2.0), "--": Lp(2.0), "+-": mixed, "-+": mixed}
+        table = {_orthant_index(s): validate_norm_spec(v, dim=2) for s, v in cases.items()}
+        outcomes = []
+        for check in (_old_sampled_checks, _piecewise_sampled_checks):
+            rng = np.random.default_rng(7)
+            try:
+                check(table, 2, rng)
+                outcomes.append(("passed", rng.bit_generator.state))
+            except NotConvex as exc:
+                outcomes.append((str(exc), None))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0][1] is None) == (mixed is half)
+        # validation reaches the same checks: the pieces are not polytopes
+        if mixed is half:
+            with pytest.raises(NotConvex, match="disagree on the boundary"):
+                validate_norm_spec(PiecewiseOrthant(cases), seed=7)
 
 
 # ---------------------------------------------------------------- evaluation

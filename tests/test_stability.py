@@ -14,6 +14,7 @@ from logmeasure import (
     NotAdmissibleWarning,
     NotMetzler,
     NotOrthantMonotonic,
+    Scaled,
     WrongDimension,
     additive_d_stability_report,
     additive_d_stable_2x2,
@@ -150,6 +151,22 @@ def test_perturbation_bounds_contain_exact_value():
             D = np.diag(RNG.uniform(0.0, 5.0, size=2))
             lo, hi, exact = perturbation_bounds(A, D, norm)
             assert lo - 1e-9 <= exact <= hi + 1e-9
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8, 1e12, 1e200])
+def test_diagonal_cross_checks_scale_with_their_inputs(scale):
+    # measures of order 1e8 round in their last ulps far above an absolute
+    # 1e-9, so a fixed slack called correct input inconsistent
+    rng = np.random.default_rng(53)
+    norms = (BATTERY["hexagon"], validate_norm_spec(Scaled(np.diag([1.0, 3.0]), Lp(2.0))), BATTERY["l1"])
+    for norm in norms:
+        for _ in range(100):
+            A = scale * rng.standard_normal((2, 2))
+            d = scale * rng.uniform(0.0, 5.0, size=2)
+            lo, hi, exact = perturbation_bounds(A, np.diag(d), norm)
+            assert lo <= hi
+            e = scale * rng.standard_normal(2)
+            assert measure_of_diagonal(norm, np.diag(e)) == pytest.approx(e.max(), rel=1e-14)
 
 
 def test_perturbation_bounds_reject_bad_norms():
