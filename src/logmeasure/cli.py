@@ -56,8 +56,9 @@ _INTERNAL_ERRORS = (InconsistentOracles, EigenFailure)
 # battery and dstable refuse a larger "budget", before any work starts;
 # dstable's counts family members, battery's is range-checked only
 _MAX_BUDGET = 10_000
-# dstable refuses a larger "falsify_budget", the pattern search's probe
-# count, before any work starts
+# dstable refuses a larger "falsify_budget" before any work starts; the
+# field is range-checked only, since the falsifier is deterministic and
+# bounded by stability.FALSIFY_SPECTRA
 _MAX_FALSIFY_BUDGET = 100_000
 
 
@@ -292,16 +293,14 @@ def _render_classify(payload: dict, fmt: str) -> str:
 def _cmd_dstable(doc: dict, seed: int):
     A = as_square_matrix(_require(doc, "matrix"))
     budget = _integer(doc, "budget", 20, _MAX_BUDGET)
-    falsify_budget = _integer(doc, "falsify_budget", 10_000, _MAX_FALSIFY_BUDGET)
+    _integer(doc, "falsify_budget", 10_000, _MAX_FALSIFY_BUDGET)
     family = None
     if "family" in doc and doc["family"] is not None:
         family = [
             validate_norm_spec(norm_spec_from_json(item), dim=A.shape[0], seed=seed)
             for item in doc["family"]
         ]
-    report = additive_d_stability_report(
-        A, family=family, budget=budget, falsify_budget=falsify_budget, seed=seed
-    )
+    report = additive_d_stability_report(A, family=family, budget=budget, seed=seed)
     return report, _VERDICT_CODES[report.verdict]
 
 

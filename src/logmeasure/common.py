@@ -7,7 +7,7 @@ import numpy as np
 from .errors import DimensionMismatch
 
 # Default seed for every sampled check in the package (CLI, validation,
-# classifiers, falsifier). Overridable per call.
+# classifiers, certificate family, grid falsifier). Overridable per call.
 DEFAULT_SEED = 0xC0FFEE
 
 # Agreement tolerance for exact routes (closed forms, polyhedral paths).

@@ -373,22 +373,27 @@ def measure_quotient(A, norm: ValidatedNorm, h: float, *, seed=None) -> float:
     return (nr.value - 1.0) / h
 
 
-def _abscissa_many(A: np.ndarray, d_rows: np.ndarray) -> np.ndarray:
-    """spectral_abscissa(A - diag(d)) for every row d of d_rows.
+def _abscissa_stack(M: np.ndarray) -> np.ndarray:
+    """The spectral abscissa of every matrix in the stack M.
 
     The package's one general eigenvalue kernel: one stacked eigvals call,
     in which LAPACK sees the matrices one by one, so each entry is
     bit-identical to a call on that matrix alone.
     """
+    try:
+        lam = np.linalg.eigvals(M)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(f"eigenvalue computation failed: {exc}") from exc
+    return lam.real.max(axis=1)
+
+
+def _abscissa_many(A: np.ndarray, d_rows: np.ndarray) -> np.ndarray:
+    """spectral_abscissa(A - diag(d)) for every row d of d_rows."""
     n = A.shape[0]
     idx = np.arange(n)
     B = np.repeat(A[None, :, :], d_rows.shape[0], axis=0)
     B[:, idx, idx] -= d_rows
-    try:
-        lam = np.linalg.eigvals(B)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(f"eigenvalue computation failed: {exc}") from exc
-    return lam.real.max(axis=1)
+    return _abscissa_stack(B)
 
 
 def spectral_abscissa(A) -> float:

@@ -20,12 +20,15 @@ nonnegative diagonal D. The report decides it in this order:
    permutation keeps D diagonal, so the spectrum of A - D is the union
    of the blocks' spectra: A is stable iff every irreducible diagonal
    block is.
-4. Principal-minor falsifier: det(D - A) is multiaffine in d, and the
-   coefficient of prod_{i not in S} d_i is det(-A[S]); so a negative
-   principal minor of -A makes A - t 1_{S^c} unstable for large t, and
-   the first rung of a geometric ladder of t that crosses gives D.
-5. Certificate search: an admissible measure with mu(A) < 0.
-6. Pattern search for a destabilizing D.
+4. Unstable principal submatrices, on blocks of at most MINOR_MAX_DIM
+   rows: driving d_i to infinity off S leaves the spectrum of A[S], so
+   an A[S] with spectral abscissa above FALSIFY_THRESHOLD makes
+   A - t 1_{S^c} unstable for large t, and the first rung of a geometric
+   ladder of t that crosses gives D (S the whole block gives D = 0).
+5. Certificate search: an admissible measure with mu(A) < 0. It is
+   skipped when some a_ii >= -ADMISSIBILITY_TOL, since every admissible
+   measure has mu(A) >= max a_ii.
+6. Step 4 on the open blocks of more than MINOR_MAX_DIM rows.
 
 Absence of a counterexample never upgrades the verdict past "unknown".
 """
@@ -53,7 +56,7 @@ from .errors import (
     NotOrthantMonotonic,
     WrongDimension,
 )
-from .measures import _abscissa_many, _closed_mu_many, matrix_measure, spectral_abscissa
+from .measures import _abscissa_many, _abscissa_stack, _closed_mu_many, matrix_measure, spectral_abscissa
 from .norms import Lp, Scaled, ValidatedNorm, validate_norm_spec
 
 ADMISSIBILITY_TOL = 1e-9
@@ -62,9 +65,13 @@ FALSIFY_THRESHOLD = 1e-6
 # Rounding slack of the diagonal cross-checks, per unit of the inputs'
 # size: measures of order 1e8 round in their last ulps far above 1e-9.
 _ROUNDING_SLACK = 64 * float(np.finfo(float).eps)
-# Largest irreducible block whose 2^m - 1 principal minors are enumerated.
+# Largest irreducible block searched for unstable principal submatrices
+# before the certificate search; larger open blocks are searched after it.
 MINOR_MAX_DIM = 8
-# The shifts t tried for one negative minor: (1 + ||B||_inf) * 2^k.
+# Spectra spent on one block's principal submatrices and their ladders, at
+# most; blocks whose 2^m - 1 submatrices fit are enumerated in full.
+FALSIFY_SPECTRA = 10_000
+# The shifts t tried for one unstable submatrix: (1 + ||B||_inf) * 2^k.
 _MINOR_LADDER = 2.0 ** np.arange(-4, 20)
 
 
@@ -373,93 +380,17 @@ def certify_additive_d_stability(
     )
 
 
-def falsify_additive_d_stability(
-    A,
-    budget: int = 10_000,
-    *,
-    seed: int | np.random.Generator | None = DEFAULT_SEED,
-) -> np.ndarray | None:
-    """Search for nonnegative diagonal D with spectral_abscissa(A-D) > 1e-6.
+def falsify_additive_d_stability(A) -> np.ndarray | None:
+    """A nonnegative diagonal D with spectral_abscissa(A - D) >
+    FALSIFY_THRESHOLD, or None, which proves nothing.
 
-    Multi-start coordinate pattern search on [0, d_max]^n with
-    d_max = 10 (1 + ||A||_inf); structured starts (origin, single-axis and
-    all-but-one-axis corners, full corner) come before random ones. Each
-    sweep tries the moves d_i +/- step in the order (0, +), (0, -), (1, +),
-    ... and takes the first one that raises the abscissa. The first D
-    crossing the threshold is returned; None means `budget` abscissa
-    evaluations ran out, which proves nothing.
-
-    The moves are scored speculatively: all moves left in the sweep are
-    built from the current d and scored in one stacked eigvals call, then
-    walked in sweep order. At the first accepted move the rest of the batch
-    is dropped and a new batch is built from the new d. Only the probes
-    walked count against `budget`, so the search path, the result and the
-    budget mean what they would for one evaluation at a time.
+    Deterministic: every irreducible diagonal block of A not proven stable
+    is searched for unstable principal submatrices (_minor_destabilizers),
+    and the D found is padded with zeros and re-verified on A itself.
     """
-    return _pattern_search(as_square_matrix(A), budget, as_rng(seed))[0]
-
-
-def _pattern_search(
-    A: np.ndarray, budget: int, rng: np.random.Generator
-) -> tuple[np.ndarray | None, int]:
-    """falsify_additive_d_stability's search: (D or None, probes used)."""
-    n = A.shape[0]
-    d_max = 10.0 * (1.0 + float(np.abs(A).sum(axis=1).max()))
-    # move j of a sweep sets d[coord[j]] += sign[j] * step, clipped to [0, d_max]
-    coord = np.repeat(np.arange(n), 2)
-    sign = np.tile([1.0, -1.0], n)
-    evals = 0
-
-    def structured_starts():
-        yield np.zeros(n)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = d_max
-            yield e
-        for i in range(n):
-            e = np.full(n, d_max)
-            e[i] = 0.0
-            yield e
-        yield np.full(n, d_max)
-        while True:
-            yield rng.uniform(0.0, d_max, n)
-
-    for start in structured_starts():
-        if evals >= budget:
-            return None, evals
-        d = start.copy()
-        best = _abscissa_many(A, d[None, :])[0]
-        evals += 1
-        if best > FALSIFY_THRESHOLD:
-            return np.diag(d), evals
-        step = d_max / 4.0
-        while step > d_max * 1e-6 and evals < budget:
-            improved = False
-            pos = 0
-            while pos < 2 * n:
-                target = np.minimum(np.maximum(d[coord[pos:]] + sign[pos:] * step, 0.0), d_max)
-                live = pos + (target != d[coord[pos:]]).nonzero()[0]
-                if not live.size:
-                    break
-                if evals >= budget:
-                    return None, evals
-                live = live[: budget - evals]
-                batch = np.repeat(d[None, :], live.size, axis=0)
-                batch[np.arange(live.size), coord[live]] = target[live - pos]
-                scores = _abscissa_many(A, batch)
-                # a probe stops the walk when it crosses the threshold or improves
-                hits = (scores > min(FALSIFY_THRESHOLD, best + 1e-12)).nonzero()[0]
-                if not hits.size:
-                    evals += live.size
-                    break
-                j = int(hits[0])
-                evals += j + 1
-                if scores[j] > FALSIFY_THRESHOLD:
-                    return np.diag(batch[j]), evals
-                best, d, improved, pos = scores[j], batch[j], True, int(live[j]) + 1
-            if not improved:
-                step /= 2.0
-    return None, evals
+    A = as_square_matrix(A)
+    found = _counterexample(A, _open_blocks(A))
+    return None if found is None else found.D
 
 
 def falsify_on_grid(
@@ -547,54 +478,93 @@ def _block_stable(B: np.ndarray) -> bool:
 
 
 def _minor_destabilizers(B: np.ndarray):
-    """For each negative principal minor det(-B[S]) in turn, yield the
-    smallest shift d = t 1_{S^c} on its ladder with
-    spectral_abscissa(B - diag(d)) > FALSIFY_THRESHOLD, if there is one.
+    """For each unstable principal submatrix B[S] found in turn (spectral
+    abscissa above FALSIFY_THRESHOLD), yield the smallest shift
+    d = t 1_{S^c} on its ladder with spectral_abscissa(B - diag(d)) >
+    FALSIFY_THRESHOLD, if there is one.
 
-    All 2^m - 1 minors det(-B[S]) come from one stacked det over the
-    matrices with -B on S x S and the identity elsewhere. The subsets S
-    with a negative minor are taken by size, then by bitmask (bit i for
-    index i). Each gets one stacked _abscissa_many call over its ladder,
-    t on _MINOR_LADDER scaled by 1 + ||B||_inf. A minor whose sign is
+    A negative minor det(-B[S]) is one case: B[S] then has a positive real
+    eigenvalue. With 2^m - 1 <= FALSIFY_SPECTRA, every S is scored in one
+    stacked call, by size, then by bitmask (bit i for index i). Larger
+    blocks walk greedy chains: the whole block, every set missing one
+    index, then from each of those in turn, the subset left by dropping the
+    index whose removal leaves the largest abscissa, until the chain meets
+    a set an earlier chain walked. Each unstable S gets one stacked call
+    over its ladder, t on _MINOR_LADDER scaled by 1 + ||B||_inf, or the
+    single shift 0 when S is the whole block. A set whose instability is
     rounding noise costs one ladder and yields nothing, and so does every
-    minor when ||B||_inf overflows.
+    set when ||B||_inf overflows. At most FALSIFY_SPECTRA spectra are
+    spent, ladders included.
     """
     m = B.shape[0]
     with np.errstate(over="ignore"):
         scale = 1.0 + float(np.abs(B).sum(axis=1).max())
     if not np.isfinite(scale):
         return
-    ladder = scale * _MINOR_LADDER
-    masks = sorted(range(1, 2**m), key=lambda s: (s.bit_count(), s))
-    inside = (np.array(masks)[:, None] >> np.arange(m)) & 1 == 1
-    minors = np.linalg.det(np.where(inside[:, :, None] & inside[:, None, :], -B, np.eye(m)))
-    for S in inside[minors < 0.0]:
-        rungs = np.outer(ladder, ~S) if not S.all() else np.zeros((1, m))
-        hits = (_abscissa_many(B, rungs) > FALSIFY_THRESHOLD).nonzero()[0]
-        if hits.size:
-            yield rungs[hits[0]]
+    spent = 0
+
+    def scored(inside):
+        # B on S x S and -I elsewhere: the abscissa of B[S], floored at -1
+        nonlocal spent
+        spent += len(inside)
+        mask = inside[:, :, None] & inside[:, None, :]
+        return inside, _abscissa_stack(np.where(mask, B, -np.eye(m)))
+
+    def batches():
+        if 2**m - 1 <= FALSIFY_SPECTRA:
+            masks = sorted(range(1, 2**m), key=lambda s: (s.bit_count(), s))
+            yield scored((np.array(masks)[:, None] >> np.arange(m)) & 1 == 1)
+            return
+        yield scored(np.ones((1, m), dtype=bool))
+        starts = ~np.eye(m, dtype=bool)
+        yield scored(starts)
+        walked = set()
+        for S in starts:
+            while S.sum() > 1 and S.tobytes() not in walked and spent + S.sum() <= FALSIFY_SPECTRA:
+                walked.add(S.tobytes())
+                kids, a = scored(S & ~np.eye(m, dtype=bool)[S])
+                yield kids, a
+                S = kids[np.argmax(a)]
+
+    for inside, a in batches():
+        for S in inside[a > FALSIFY_THRESHOLD]:
+            rungs = np.outer(scale * _MINOR_LADDER, ~S) if not S.all() else np.zeros((1, m))
+            if spent + len(rungs) > FALSIFY_SPECTRA:
+                return
+            spent += len(rungs)
+            hits = (_abscissa_many(B, rungs) > FALSIFY_THRESHOLD).nonzero()[0]
+            if hits.size:
+                yield rungs[hits[0]]
 
 
-def _algebraic_report(A: np.ndarray) -> DStabilityReport | None:
-    """Block reduction, then the principal-minor falsifier on each block
-    not proven stable and no larger than MINOR_MAX_DIM; None when neither
-    decides. Every counterexample is padded with zeros to n and
-    re-verified on A itself."""
+def _open_blocks(A: np.ndarray) -> list[np.ndarray]:
+    """The irreducible diagonal blocks of A not proven stable."""
+    return [b for b in _irreducible_blocks(A) if not _block_stable(A[np.ix_(b, b)])]
+
+
+def _counterexample(A: np.ndarray, blocks) -> Counterexample | None:
+    """The first shift _minor_destabilizers yields on the blocks, in order,
+    padded with zeros to n, that re-verifies on A itself."""
     n = A.shape[0]
-    open_blocks = [b for b in _irreducible_blocks(A) if not _block_stable(A[np.ix_(b, b)])]
-    if not open_blocks:
-        return DStabilityReport("stable", "block_reduction")
-    for b in open_blocks:
-        if b.size > MINOR_MAX_DIM:
-            continue
+    for b in blocks:
         for d in _minor_destabilizers(A[np.ix_(b, b)]):
             D = np.zeros((n, n))
             D[b, b] = d
             s = spectral_abscissa(A - D)
             if s > FALSIFY_THRESHOLD:
-                return DStabilityReport(
-                    "unstable", "principal_minor", counterexample=Counterexample(D, s)
-                )
+                return Counterexample(D, s)
+    return None
+
+
+def _algebraic_report(A: np.ndarray) -> DStabilityReport | None:
+    """Block reduction, then unstable principal submatrices of the open
+    blocks of at most MINOR_MAX_DIM rows; None when neither decides."""
+    blocks = _open_blocks(A)
+    if not blocks:
+        return DStabilityReport("stable", "block_reduction")
+    found = _counterexample(A, [b for b in blocks if b.size <= MINOR_MAX_DIM])
+    if found is not None:
+        return DStabilityReport("unstable", "principal_minor", counterexample=found)
     return None
 
 
@@ -603,7 +573,6 @@ def additive_d_stability_report(
     *,
     family: list[ValidatedNorm] | None = None,
     budget: int = 20,
-    falsify_budget: int = 10_000,
     seed: int | np.random.Generator | None = DEFAULT_SEED,
 ) -> DStabilityReport:
     """Composite pipeline, in this order; the method label names the step
@@ -613,15 +582,19 @@ def additive_d_stability_report(
     * ``block_reduction``: every irreducible diagonal block is stable. The
       SCC permutation makes A block upper triangular and keeps D diagonal,
       so spec(A - D) is the union of the blocks' spectra.
-    * ``principal_minor``: det(D - A) is multiaffine in d with the
-      coefficient det(-A[S]) on prod_{i not in S} d_i, so a negative
-      minor forces det(D - A) < 0, hence a real eigenvalue of A - D
-      above 0, once D = t 1_{S^c} is large; the D found is re-verified.
+    * ``principal_minor``: an open block of at most MINOR_MAX_DIM rows has
+      an unstable principal submatrix A[S]; driving d_i to infinity off S
+      leaves its spectrum, so A - t 1_{S^c} is unstable once t is large
+      (D = 0 when S is the whole block); the D found is re-verified.
     * ``admissible_certificate``: the certificate search (with `family`
-      when given), then ``falsified``: the pattern search.
+      when given). It is skipped when some a_ii >= -ADMISSIBILITY_TOL:
+      every admissible measure has mu(A) >= max a_ii, so no certificate
+      exists, and the note names the entry.
+    * ``falsified``: the principal_minor test on the open blocks of more
+      than MINOR_MAX_DIM rows.
 
-    Only the last two draw from `seed`. Verdicts are never upgraded on the
-    strength of a failed search."""
+    Only the certificate family draws from `seed`. Verdicts are never
+    upgraded on the strength of a failed search."""
     A = as_square_matrix(A)
     n = A.shape[0]
 
@@ -653,13 +626,17 @@ def additive_d_stability_report(
     if decided is not None:
         return decided
 
-    report = certify_additive_d_stability(A, family, budget, seed=seed)
-    if report.verdict == "stable":
-        return report
+    i = int(np.argmax(np.diag(A)))
+    if A[i, i] >= -ADMISSIBILITY_TOL:
+        note = f"diagonal entry A[{i}][{i}] = {A[i, i]:.6g} is not below -{ADMISSIBILITY_TOL:g}"
+        note += ": no admissible-measure certificate can exist for this matrix"
+        report = DStabilityReport("unknown", "budget_exhausted", note=note)
+    else:
+        report = certify_additive_d_stability(A, family, budget, seed=seed)
+        if report.verdict == "stable":
+            return report
 
-    D = falsify_additive_d_stability(A, falsify_budget, seed=seed)
-    if D is not None:
-        return DStabilityReport(
-            "unstable", "falsified", counterexample=Counterexample(D, spectral_abscissa(A - D))
-        )
-    return DStabilityReport("unknown", "budget_exhausted", note=report.note)
+    found = _counterexample(A, [b for b in _open_blocks(A) if b.size > MINOR_MAX_DIM])
+    if found is not None:
+        return DStabilityReport("unstable", "falsified", counterexample=found)
+    return report

@@ -5,18 +5,21 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 import logmeasure
 from logmeasure.cli import main
 from logmeasure.stability import DStabilityReport
 
-# irreducible, and -A has every principal minor >= 0, so no exact path
-# decides it and both searches run dry
+# irreducible, and no principal submatrix is unstable, so no exact path
+# decides it; a_11 = 0 leaves no admissible-measure certificate
 UNKNOWN_3X3 = [[0.0, 2.0, -1.0], [0.0, -1.0, -1.0], [2.0, 2.0, -2.0]]
 
 
@@ -333,7 +336,7 @@ def test_integer_fields_refuse_non_integers_and_oversized_budgets(capsys, tmp_pa
 
     doc = {"matrix": matrix, "budget": 4, "falsify_budget": 100_000.0}
     assert _run(capsys, "dstable", "--in", _write_doc(tmp_path, doc))[0] == 0
-    assert started[1] == {"family": None, "budget": 4, "falsify_budget": 100_000, "seed": logmeasure.DEFAULT_SEED}
+    assert started[1] == {"family": None, "budget": 4, "seed": logmeasure.DEFAULT_SEED}
 
 
 def test_piecewise_norm_without_exact_route_is_refused(capsys, tmp_path):
@@ -421,6 +424,50 @@ def test_huge_inputs_get_a_typed_answer_and_no_warning(capsys, tmp_path, case):
             assert parsed["value"] == 1.0
     else:
         assert out == "" and len(err.splitlines()) == 1
+
+
+_FINITE_ENTRIES = st.sampled_from([0.0, 1e-300, -1e-300, 1.0, -1.0, 1e150, -1e150, 1e300, -1e300])
+_HOSTILE_ENTRIES = _FINITE_ENTRIES | st.sampled_from([math.nan, math.inf, -math.inf])
+# every JSON type; integers stay small where they are legal, so that a
+# budget does not turn one example into a long certificate search
+_HOSTILE_COUNTS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 30),
+    st.sampled_from([10_000, 10_001, 100_000, 100_001, 10**30]),
+    st.floats(-3.0, 30.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, 2.5]),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+_HOSTILE_DSTABLE = st.fixed_dictionaries(
+    {
+        # all-finite matrices get a branch of their own: at n = 16, a
+        # non-finite entry somewhere would otherwise be near certain
+        "matrix": st.tuples(st.integers(1, 16), st.sampled_from([_FINITE_ENTRIES, _HOSTILE_ENTRIES])).flatmap(
+            lambda nx: st.lists(st.lists(nx[1], min_size=nx[0], max_size=nx[0]), min_size=nx[0], max_size=nx[0])
+        )
+    },
+    optional={"budget": _HOSTILE_COUNTS, "falsify_budget": _HOSTILE_COUNTS},
+)
+
+
+@seed(25)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_HOSTILE_DSTABLE)
+def test_hostile_dstable_documents_keep_the_exit_contract(capsys, tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("hostile") / "in.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught, np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, "dstable", "--in", str(path))
+    assert code in (0, 1, 2, 65), doc
+    assert caught == [] and "Traceback" not in err and "Warning" not in err, doc
+    if code == 65:
+        assert out == "" and len(err.splitlines()) == 1, doc
+    else:
+        assert json.loads(out)["verdict"] == {0: "stable", 1: "unstable", 2: "unknown"}[code]
 
 
 # ---------------------------------------------------------------- seeds

@@ -1,6 +1,6 @@
 """The stacked eigenvalue, measure and vertex-matching kernels against the
-one-at-a-time computations they replaced: same search path, same witnesses,
-same bits."""
+one-at-a-time computations they replaced: same witnesses, same bits; and
+the deterministic falsifier against the pattern search it replaced."""
 
 import itertools
 
@@ -15,6 +15,7 @@ from logmeasure import (
     Scaled,
     builtin_battery,
     diag_norm_identity_check,
+    falsify_additive_d_stability,
     hexagon_spec,
     induced_matrix_norm,
     is_absolute,
@@ -31,7 +32,7 @@ from logmeasure.classify import _projection_witness_scaled, _sign_normalize
 from logmeasure.common import TOL_EXACT, TOL_VERTEX
 from logmeasure.measures import _closed_mu_many, _closed_norm_many
 from logmeasure.norms import _Polytope, _check_symmetric, _dedup_rows, _lp_eval_many, _near_pairs
-from logmeasure.stability import ADMISSIBILITY_TOL, FALSIFY_THRESHOLD, _abscissa_many, _pattern_search
+from logmeasure.stability import ADMISSIBILITY_TOL, FALSIFY_THRESHOLD, _abscissa_many
 
 
 def _hurwitz_matrices():
@@ -54,7 +55,9 @@ MATRICES += [np.array([[-1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.3]])]
 
 
 def reference_pattern_search(A, budget, rng):
-    """The falsifier's pattern search, one eigenvalue solve per probe."""
+    """The multi-start coordinate pattern search that the deterministic
+    falsifier replaced, one eigenvalue solve per probe: structured starts
+    in [0, d_max]^n, then random ones; (D or None, probes used)."""
     n = A.shape[0]
     d_max = 10.0 * (1.0 + float(np.abs(A).sum(axis=1).max()))
     evals = 0
@@ -106,17 +109,46 @@ def reference_pattern_search(A, budget, rng):
     return None, evals
 
 
+def _assert_destabilizes(A):
+    D = falsify_additive_d_stability(A)
+    assert D is not None
+    assert np.array_equal(D, np.diag(np.diag(D))) and np.all(np.diag(D) >= 0.0)
+    assert spectral_abscissa(A - D) > FALSIFY_THRESHOLD
+
+
 @pytest.mark.parametrize("budget", [7, 50, 10_000])
 @pytest.mark.parametrize("k", range(len(MATRICES)))
 def test_batched_falsifier_matches_sequential_search(k, budget):
+    """Whatever the sequential reference search destabilizes within
+    `budget` probes, the stacked deterministic falsifier destabilizes too."""
     A = MATRICES[k]
-    want_D, want_evals = reference_pattern_search(A, budget, np.random.default_rng(k))
-    got_D, got_evals = _pattern_search(A, budget, np.random.default_rng(k))
-    assert got_evals == want_evals
-    if want_D is None:
-        assert got_D is None
-    else:
-        assert got_D.tobytes() == want_D.tobytes()
+    want_D, _ = reference_pattern_search(A, budget, np.random.default_rng(k))
+    if want_D is not None:
+        _assert_destabilizes(A)
+
+
+# reference_pattern_search(A, 10_000, default_rng(j)) on the jth dense
+# block of each size m: U destabilized, ? gave up.
+DENSE_VERDICTS = {9: "UUU?UUUU", 10: "U?UUUU?U", 12: "UUUU????", 14: "U?UUUUUU", 16: "U?UUU?U?"}
+
+
+def _dense_hurwitz_blocks():
+    """(block, reference verdict) for DENSE_VERDICTS, drawn as
+    _hurwitz_matrices draws them, from default_rng(25): irreducible,
+    non-Metzler and above MINOR_MAX_DIM, so the report reaches them only
+    after certification."""
+    rng = np.random.default_rng(25)
+    for m, codes in DENSE_VERDICTS.items():
+        for code in codes:
+            A = rng.standard_normal((m, m))
+            A -= np.eye(m) * (np.max(np.linalg.eigvals(A).real) + rng.uniform(0.05, 1.0))
+            yield A, code
+
+
+def test_falsifier_decides_what_the_reference_search_destabilizes():
+    for A, code in _dense_hurwitz_blocks():
+        if code == "U":
+            _assert_destabilizes(A)
 
 
 def test_falsifier_cases_cover_deep_and_exhausted_searches():

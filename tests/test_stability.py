@@ -260,7 +260,7 @@ def test_certificate_blocks_all_diagonal_shifts():
 
 
 def test_falsify_fragile():
-    D = falsify_additive_d_stability(FRAGILE_MATRIX, seed=0)
+    D = falsify_additive_d_stability(FRAGILE_MATRIX)
     assert D is not None
     assert np.all(np.diag(D) >= 0.0)
     assert spectral_abscissa(FRAGILE_MATRIX - D) > VIOLATION_TOL
@@ -275,7 +275,7 @@ def test_falsify_on_grid_fragile():
 
 
 def test_falsify_gives_up_on_stable_matrix():
-    assert falsify_additive_d_stability(CERTIFIABLE_MATRIX, budget=100, seed=0) is None
+    assert falsify_additive_d_stability(CERTIFIABLE_MATRIX) is None
     assert falsify_on_grid(CERTIFIABLE_MATRIX, grid=20, extra=100, seed=0) is None
 
 
@@ -292,15 +292,70 @@ def test_report_3x3_certificate_path():
     assert rep.certificate.mu < 0.0
 
 
+UNKNOWN_3X3 = np.array([[0.0, 2.0, -1.0], [0.0, -1.0, -1.0], [2.0, 2.0, -2.0]])
+
+
 def test_report_unknown_when_budgets_run_out():
-    # irreducible and -A in P0+ (every principal minor >= 0, det(-A) > 0),
-    # so neither exact path decides it; no grid point destabilizes it
-    # either, and the two small budgets run dry
-    A = np.array([[0.0, 2.0, -1.0], [0.0, -1.0, -1.0], [2.0, 2.0, -2.0]])
+    # irreducible, and no principal submatrix is unstable, so neither exact
+    # path decides it; no grid point destabilizes it either, and a_11 = 0
+    # leaves no certificate to find
+    A = UNKNOWN_3X3
     assert falsify_on_grid(A, d_max=40.0) is None
-    rep = additive_d_stability_report(A, budget=6, falsify_budget=300, seed=0)
+    rep = additive_d_stability_report(A, budget=6, seed=0)
     assert rep.verdict == "unknown"
     assert rep.method == "budget_exhausted"
+
+
+def _refuse_certify(monkeypatch):
+    def certify(*a, **kw):
+        raise AssertionError("certify ran")
+
+    monkeypatch.setattr(stability, "certify_additive_d_stability", certify)
+
+
+def test_nonnegative_diagonal_entry_skips_certification(monkeypatch):
+    # mu(A) >= a_11 = 0 under every admissible measure: no certificate exists
+    _refuse_certify(monkeypatch)
+    rep = additive_d_stability_report(UNKNOWN_3X3, seed=0)
+    assert (rep.verdict, rep.method) == ("unknown", "budget_exhausted")
+    assert rep.note.startswith("diagonal entry A[0][0] = 0 is not below -1e-09")
+
+
+def test_skipping_certification_loses_no_certificate():
+    skipped = [A for A in RANDOM_HURWITZ if np.diag(A).max() >= -stability.ADMISSIBILITY_TOL]
+    assert len(skipped) > 10
+    for A in skipped:
+        assert certify_additive_d_stability(A, seed=0).verdict == "unknown"
+
+
+def test_unstable_matrix_with_no_negative_minor_gets_d_zero(monkeypatch):
+    # -(I + 3C), C the cyclic shift: every principal minor of I + 3C is
+    # positive, yet the eigenvalue -1 - 3 e^{2 pi i / 3} has real part 1/2
+    _refuse_certify(monkeypatch)
+    A = -(np.eye(3) + 3.0 * np.roll(np.eye(3), 1, axis=1))
+    rep = additive_d_stability_report(A, seed=0)
+    assert (rep.verdict, rep.method) == ("unstable", "principal_minor")
+    assert np.array_equal(rep.counterexample.D, np.zeros((3, 3)))
+    assert rep.counterexample.abscissa == pytest.approx(0.5, abs=1e-12)
+
+
+def test_falsifier_spends_at_most_its_spectra_on_a_block(monkeypatch):
+    # diagonally dominant, so every principal submatrix is stable and the
+    # greedy chains run until the cap stops them
+    rng = np.random.default_rng(48)
+    A = rng.uniform(-1.0, 1.0, (48, 48))
+    np.fill_diagonal(A, 0.0)
+    A -= (np.abs(A).sum(axis=1).max() + 1.0) * np.eye(48)
+    spectra = []
+    eigvals = np.linalg.eigvals
+
+    def counting(M):
+        spectra.append(M.shape[0] if M.ndim == 3 else 1)
+        return eigvals(M)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    assert falsify_additive_d_stability(A) is None
+    assert stability.FALSIFY_SPECTRA - 48 < sum(spectra) <= stability.FALSIFY_SPECTRA
 
 
 def test_reducible_matrices_are_decided_by_their_blocks():
@@ -390,9 +445,9 @@ RANDOM_HURWITZ = _random_hurwitz()
 
 
 def _prepass(A):
-    """The report with both searches given nothing to do: an exact verdict
-    when the pre-pass decides, ("unknown", "budget_exhausted") otherwise."""
-    return additive_d_stability_report(A, family=[], falsify_budget=0)
+    """The report's stages before certification: an exact verdict when
+    they decide, ("unknown", "budget_exhausted") otherwise."""
+    return stability._algebraic_report(A) or stability.DStabilityReport("unknown", "budget_exhausted")
 
 
 def _block_triangular(rng, n, blocks=(1, 2)):
