@@ -6,8 +6,15 @@ block-diagonalizes the coupled dynamics into A and A - 2D, so the agents
 synchronize (x - z -> 0) exactly when A - 2D is Hurwitz. Diffusion can
 destroy stability: A Hurwitz does not imply A - 2D Hurwitz unless the
 matrix is additively D-stable with margin, which is why the stability
-module's analysis feeds this one. simulate integrates the pair with
-classical RK4, evaluated as its one-step propagator matrix.
+module's analysis feeds this one.
+
+simulate integrates the pair with classical RK4 in those decoupled
+coordinates, halved: h = ((x + z) / 2, (z - x) / 2) moves under
+diag(P(A), P(A - 2D)), P the one-step RK4 propagator. That is the same map
+as stepping the 2n x 2n block, and it reads the sync metric as 2 |(z - x) / 2|
+without subtracting two nearly equal states, so a synchronizing run reports
+its true (tiny) distance instead of 0. Every product is an einsum, so the
+bytes of a trajectory do not depend on which OpenBLAS kernel numpy loaded.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .stability import is_hurwitz
 
 DIVERGENCE_CUTOFF = 1e6
 STEP_NORM_BOUND = 0.1
-# simulate checks the cutoff once per block of this many steps
+# simulate propagates, and checks the cutoff, in blocks of this many steps
 _CHECK_EVERY = 64
 # sync metric rows with an entry above this are computed scaled
 _SYNC_SCALE_ABOVE = 1e150
@@ -72,8 +79,8 @@ def build_coupled(A, D) -> CoupledSystem:
     """Assemble the 2n x 2n block [[A-D, D], [D, A-D]].
 
     The decoupling similarity is re-verified on every build: conjugating
-    by [[I, I], [-I, I]] must produce diag(A, A-2D) to 1e-10, anything
-    else means the block was assembled wrong.
+    by [[I, I], [-I, I]] must produce diag(A, A-2D) to a few ulps of
+    max|a_ij| + max d, anything else means the block was assembled wrong.
     """
     A = as_square_matrix(A)
     n = A.shape[0]
@@ -81,16 +88,34 @@ def build_coupled(A, D) -> CoupledSystem:
     if np.any(d < 0.0):
         raise NotNonnegativeDiagonal("diffusion gains must be >= 0")
     Dm = np.diag(d)
-    block = np.block([[A - Dm, Dm], [Dm, A - Dm]])
+    block = _assemble(A, Dm)
 
-    eye = np.eye(n)
-    T = np.block([[eye, eye], [-eye, eye]])
-    Tinv = 0.5 * np.block([[eye, -eye], [eye, eye]])
-    decoupled = T @ block @ Tinv
-    target = np.block([[A, np.zeros((n, n))], [np.zeros((n, n)), A - 2.0 * Dm]])
-    if np.max(np.abs(decoupled - target)) > 1e-10:
+    # T block T^-1 with T = [[I, I], [-I, I]], T^-1 = (1/2) [[I, -I], [I, I]],
+    # one n x n block at a time: the rows of T block are [c + f, e + g] and
+    # [f - c, g - e]
+    c, e, f, g = block[:n, :n], block[:n, n:], block[n:, :n], block[n:, n:]
+    upper, lower = (c + f, e + g), (f - c, g - e)
+    decoupled = (
+        0.5 * (upper[0] + upper[1]),
+        0.5 * (upper[1] - upper[0]),
+        0.5 * (lower[0] + lower[1]),
+        0.5 * (lower[1] - lower[0]),
+    )
+    target = (A, 0.0, 0.0, A - 2.0 * Dm)
+    err = max(np.max(np.abs(got - want)) for got, want in zip(decoupled, target))
+    # a right block misses diag(A, A - 2D) by rounding only: at most
+    # 1.5 eps (max|a_ij| + max d) in any entry
+    if err > 4.0 * np.finfo(float).eps * (np.max(np.abs(A)) + np.max(d)):
         raise InconsistentOracles("coupled block failed the decoupling similarity check")
     return CoupledSystem(A, Dm, block)
+
+
+def _assemble(A: np.ndarray, Dm: np.ndarray) -> np.ndarray:
+    n = A.shape[0]
+    block = np.empty((2 * n, 2 * n))
+    block[:n, :n] = block[n:, n:] = A - Dm
+    block[:n, n:] = block[n:, :n] = Dm
+    return block
 
 
 def sync_verdict(A, D) -> bool:
@@ -111,8 +136,12 @@ def sync_verdict(A, D) -> bool:
 def simulate(A, D, x0, z0, horizon: float, dt: float) -> Trajectory:
     """Integrate the coupled pair with fixed-step classical RK4.
 
-    The system is linear, so one RK4 step is exactly y <- P y: the
-    propagator P = sum_{k<=4} (dt B)^k / k! is built once, in Horner form.
+    The system is linear, so one RK4 step is exactly y <- P y with
+    P = sum_{k<=4} (dt B)^k / k!, and P is diag(P(A), P(A - 2D)) on the
+    halves h = ((x + z) / 2, (z - x) / 2). Both are built once, in Horner
+    form, with their powers up to P^_CHECK_EVERY; each block of that many
+    steps is then one product from its first h, unpacked to x = h_1 - h_2,
+    z = h_1 + h_2 and |x - z|_2 = 2 |h_2|_2.
 
     horizon and dt must be positive and finite, dt must not exceed the
     horizon and must satisfy dt * ||block||_inf <= 0.1, the grid may
@@ -127,8 +156,9 @@ def simulate(A, D, x0, z0, horizon: float, dt: float) -> Trajectory:
     n = system.A.shape[0]
     x0 = as_vector(x0, n)
     z0 = as_vector(z0, n)
-    # halved, as x0 - z0 itself may overflow
-    gap = 2.0 * math.sqrt(n) * float(np.abs(0.5 * x0 - 0.5 * z0).max())
+    # the halves ((x + z) / 2, (z - x) / 2), as x0 + z0 and x0 - z0 may overflow
+    h = np.stack([0.5 * x0 + 0.5 * z0, 0.5 * z0 - 0.5 * x0])
+    gap = 2.0 * math.sqrt(n) * float(np.abs(h[1]).max())
     if max(np.abs(x0).max(), np.abs(z0).max(), gap) > MAX_INITIAL_STATE:
         raise ValueError(
             f"initial states too large: their entries and sqrt(n) |x0 - z0|_inf "
@@ -148,34 +178,66 @@ def simulate(A, D, x0, z0, horizon: float, dt: float) -> Trajectory:
             f"horizon / dt = {horizon / dt:.3g} steps of {2 * n} values exceed the cap of "
             f"{MAX_STATE_VALUES} stored state values"
         )
-    P = eye = np.eye(2 * n)
-    for k in (4.0, 3.0, 2.0, 1.0):
-        P = eye + (dt / k) * B @ P
+    powers = _propagator_powers(system.A, system.A - 2.0 * system.D, dt, min(steps, _CHECK_EVERY))
     times = np.arange(steps + 1) * dt
     states = np.empty((steps + 1, 2 * n))
-    y = states[0] = np.concatenate([x0, z0])
+    sync = np.empty(steps + 1)
+    states[0, :n], states[0, n:] = x0, z0
+    sync[0] = _sync(h[None, 1])[0]
     diverged = False
     k = 0
     while k < steps:
-        # dt ||B||_inf <= 0.1 gives ||P||_inf <= e^0.1, so _CHECK_EVERY
-        # steps from |y|_inf <= DIVERGENCE_CUTOFF stay below 1e6 e^6.4 <
-        # 6.1e8, far from overflow; a state already past the cutoff (a
-        # huge y0) is checked after one step
-        size = _CHECK_EVERY if np.abs(y).max() <= DIVERGENCE_CUTOFF else 1
-        block = states[k + 1 : k + 1 + size]
-        for row in block:
-            y = row[:] = P @ y
-        over = (np.abs(block) > DIVERGENCE_CUTOFF).any(axis=1)
+        # dt ||B||_inf <= 0.1 bounds ||P(A)||_inf and ||P(A - 2D)||_inf by
+        # e^0.1, so a block of _CHECK_EVERY steps from a state (and so
+        # halves) below DIVERGENCE_CUTOFF stays below 1e6 e^6.4 < 6.1e8,
+        # far from overflow; a state already past the cutoff (a huge y0)
+        # is checked after one step
+        size = min(_CHECK_EVERY if np.abs(states[k]).max() <= DIVERGENCE_CUTOFF else 1, steps - k)
+        block = np.einsum("jkab,kb->jka", powers[:size], h)
+        a, b = block[:, 0], block[:, 1]
+        rows = states[k + 1 : k + 1 + size]
+        rows[:, :n], rows[:, n:] = a - b, a + b
+        sync[k + 1 : k + 1 + size] = _sync(b)
+        over = (np.abs(rows) > DIVERGENCE_CUTOFF).any(axis=1)
         if over.any():
             # cut at the first state past the cutoff, as a per-step check would
             stop = k + 1 + int(np.argmax(over))
-            times, states, diverged = times[: stop + 1].copy(), states[: stop + 1].copy(), True
+            times, states, sync = times[: stop + 1].copy(), states[: stop + 1].copy(), sync[: stop + 1].copy()
+            diverged = True
             break
-        k += block.shape[0]
-    x, z = states[:, :n], states[:, n:]
-    # a row past about 1e154 would overflow the squared norm, so it is
-    # scaled by its largest entry first; every other row is divided by 1
-    peak = np.maximum(np.abs(x).max(axis=1), np.abs(z).max(axis=1))
-    scale = np.where(peak > _SYNC_SCALE_ABOVE, peak, 1.0)[:, None]
-    sync = scale[:, 0] * np.linalg.norm(x / scale - z / scale, axis=1)
+        h = block[-1]
+        k += size
     return Trajectory(times, states, sync, diverged)
+
+
+def _propagator_powers(A: np.ndarray, A2: np.ndarray, dt: float, count: int) -> np.ndarray:
+    """P^1 ... P^m, m >= count a power of two, of the RK4 propagators
+    P = sum_{k<=4} (dt M)^k / k! of M = A and M = A2, stacked (m, 2, n, n).
+
+    Each P is built in Horner form and the powers by doubling,
+    P^{m+j} = P^m P^j; every product is an einsum, whose bytes no BLAS
+    kernel decides.
+    """
+    M = np.stack([A, A2])
+    P = eye = np.broadcast_to(np.eye(A.shape[0]), M.shape)
+    for k in (4.0, 3.0, 2.0, 1.0):
+        P = eye + np.einsum("kab,kbc->kac", (dt / k) * M, P)
+    powers = P[None]
+    while powers.shape[0] < count:
+        powers = np.concatenate([powers, np.einsum("kab,jkbc->jkac", powers[-1], powers)])
+    return powers
+
+
+def _sync(b: np.ndarray) -> np.ndarray:
+    """|x - z|_2 = 2 |b|_2 of each row of the halves b = (z - x) / 2.
+
+    A row past about 1e154 would overflow the squared norm, so a row with
+    an entry above _SYNC_SCALE_ABOVE is scaled by its largest entry first;
+    every other row keeps the bits of the plain norm.
+    """
+    scale = np.abs(b).max(axis=1, keepdims=True)
+    if scale.max() > _SYNC_SCALE_ABOVE:
+        scale[scale <= _SYNC_SCALE_ABOVE] = 1.0
+        b = b / scale
+        return 2.0 * scale[:, 0] * np.sqrt(np.einsum("ij,ij->i", b, b))
+    return 2.0 * np.sqrt(np.einsum("ij,ij->i", b, b))

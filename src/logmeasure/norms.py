@@ -496,7 +496,9 @@ def _validate_scaled(spec: Scaled, dim: int | None, seed) -> ValidatedNorm:
         raise DimensionMismatch(f"requested dim {dim} but scaling matrix is {n}x{n}")
     sv = np.linalg.svd(T, compute_uv=False)
     if sv[-1] <= 1e-12 * sv[0]:
-        raise SingularScaling(f"scaling matrix singular to working precision (sv ratio {sv[-1]/sv[0]:.2e})")
+        # T = 0 has the ratio 0 / 0
+        ratio = sv[-1] / sv[0] if sv[0] > 0.0 else 0.0
+        raise SingularScaling(f"scaling matrix singular to working precision (sv ratio {ratio:.2e})")
     inner = validate_norm_spec(spec.inner, dim=n, seed=seed)
     # Collapse chains of scalings: |x| = inner(T x) with inner itself scaled
     # by S around a core means core norm evaluated at (S_flat T) x.

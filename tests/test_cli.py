@@ -212,6 +212,15 @@ def test_diffusion_non_synchronizing_note(capsys, tmp_path):
     assert parsed["diverged"] is True
 
 
+def test_diffusion_with_large_gains_passes_the_decoupling_check(capsys, tmp_path):
+    # A - D rounds in the last bits of 3.3e6, above an absolute 1e-10
+    doc = {"matrix": [[0.1, -0.3], [0.7, -0.2]], "D": [1.1e6, 3.3e6], "x0": [1, 0], "z0": [0, 1],
+           "horizon": 1e-7, "dt": 1e-8}
+    code, out, err = _run(capsys, "diffusion", "--in", _write_doc(tmp_path, doc))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["steps"] == 10
+
+
 def test_diffusion_huge_initial_state_keeps_json_valid(capsys, tmp_path):
     # max |x - z| = 1e306 used to overflow the squared sync norm: numpy's
     # overflow warning on stderr and "final_sync": Infinity on stdout
@@ -261,6 +270,17 @@ def test_data_errors_exit_65(capsys, tmp_path):
         "bad_norm.json",
     )
     assert main(["measure", "--in", bad_norm]) == 65
+
+
+def test_zero_scaling_is_refused_in_one_line(capsys, tmp_path):
+    # the singular-value ratio of T = 0 is 0 / 0; the refusal must not
+    # divide it and leak numpy's RuntimeWarning ahead of its one line
+    doc = {"norm": {"kind": "scaled", "T": [[0]], "inner": {"kind": "lp", "p": 2}}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "classify", "--in", _write_doc(tmp_path, doc))
+    assert (code, out) == (65, "")
+    assert len(err.splitlines()) == 1 and "Warning" not in err and "nan" not in err
 
 
 def test_hostile_values_exit_65_without_traceback(capsys, tmp_path):

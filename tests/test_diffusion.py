@@ -12,6 +12,7 @@ from logmeasure import (
     BadTimeGrid,
     BaseNotHurwitz,
     FRAGILE_MATRIX,
+    InconsistentOracles,
     Marginal,
     NotNonnegativeDiagonal,
     StepTooLarge,
@@ -70,6 +71,28 @@ def test_coupling_must_be_nonnegative_diagonal():
         sync_verdict(FRAGILE_MATRIX, np.diag([-1.0, 1.0]))
     with pytest.raises(ValueError):
         build_coupled(FRAGILE_MATRIX, np.array([[1.0, 0.3], [0.0, 1.0]]))
+
+
+def test_decoupling_check_scales_with_the_gains():
+    # (-0.2 - 3.3e6) + 3.3e6 misses -0.2 by 1.9e-10: above an absolute
+    # 1e-10, below 4 eps (max|a_ij| + max d) = 2.9e-9
+    A = np.array([[0.1, -0.3], [0.7, -0.2]])
+    cs = build_coupled(A, [1.1e6, 3.3e6])
+    assert np.array_equal(cs.block[:2, 2:], np.diag([1.1e6, 3.3e6]))
+
+
+def test_misassembled_block_fails_the_decoupling_check(monkeypatch):
+    def swapped(A, Dm):
+        # the coupling blocks on the diagonal and A - D off it
+        n = A.shape[0]
+        block = np.empty((2 * n, 2 * n))
+        block[:n, n:] = block[n:, :n] = A - Dm
+        block[:n, :n] = block[n:, n:] = Dm
+        return block
+
+    monkeypatch.setattr("logmeasure.diffusion._assemble", swapped)
+    with pytest.raises(InconsistentOracles):
+        build_coupled(FRAGILE_MATRIX, np.diag([1.0, 2.0]))
 
 
 # ------------------------------------------------------------------- verdict

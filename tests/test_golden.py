@@ -33,22 +33,36 @@ trace witnesses are the extreme-ray violators E_1, I - E_1 and
 (2 / mu(-E_1)) E_1, and sheared_linf's counterexample_D is diag(1, 0)
 (mu(-D) = 5) instead of diag(1, 2). The battery CSV digests did not move.
 
+All nine diffusion/fragile/{json,csv,text}/* digests were re-recorded when
+simulate came to propagate the decoupled halves ((x + z) / 2, (z - x) / 2)
+under diag(P(A), P(A - 2D)), 64 steps per product, and to read the sync
+metric as 2 |(z - x) / 2|_2. final_sync went from 0.0, the cancellation of
+two states of order 1e-7, to 1.28574e-32, the RK4 value (a 50-digit run of
+the staged recursion gives the same to 12 digits); the states moved in
+their last digits. The text digests moved with the printed final sync
+metric. The other 57 digests did not move.
+
 Run as a script (``python3 tests/test_golden.py``), this file prints the
 digest table of the current checkout in GOLDEN's layout, through the same
 ``digest`` helper the test uses; re-record from that output.
 
 The digests were recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (DYNAMIC_ARCH,
-x86-64 Haswell kernels). Another BLAS build or kernel may round differently;
+x86-64 Haswell kernels). They are the same under the Sandybridge and Prescott
+kernels, which ``test_golden_table_is_the_same_on_every_openblas_kernel``
+checks in child processes. Another BLAS build may round differently;
 re-record them from an unchanged checkout when the numeric stack changes.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 if __name__ == "__main__":
@@ -94,15 +108,15 @@ GOLDEN = {
     "classify/sheared_linf/text/0": "a6db8d050a0bdffd3d9a8a4f67660c66c1cf1b98277e2e3ebb44c5d4d8b54cc9",
     "classify/sheared_linf/text/5": "a6db8d050a0bdffd3d9a8a4f67660c66c1cf1b98277e2e3ebb44c5d4d8b54cc9",
     "classify/sheared_linf/text/default": "a6db8d050a0bdffd3d9a8a4f67660c66c1cf1b98277e2e3ebb44c5d4d8b54cc9",
-    "diffusion/fragile/csv/0": "00bcffc5a8f9c283c7e0210a47788fd4a851e8d853e734d518109c385b5afdb3",
-    "diffusion/fragile/csv/5": "00bcffc5a8f9c283c7e0210a47788fd4a851e8d853e734d518109c385b5afdb3",
-    "diffusion/fragile/csv/default": "00bcffc5a8f9c283c7e0210a47788fd4a851e8d853e734d518109c385b5afdb3",
-    "diffusion/fragile/json/0": "1a6dc1c4c4ec6df2c2d70070724df7ed4b07165638f6b90639b7785ca121f303",
-    "diffusion/fragile/json/5": "1a6dc1c4c4ec6df2c2d70070724df7ed4b07165638f6b90639b7785ca121f303",
-    "diffusion/fragile/json/default": "1a6dc1c4c4ec6df2c2d70070724df7ed4b07165638f6b90639b7785ca121f303",
-    "diffusion/fragile/text/0": "c4bc7158b3b43e27d3b890f50cd307c8ba06c9c91326105922669709504c01b7",
-    "diffusion/fragile/text/5": "c4bc7158b3b43e27d3b890f50cd307c8ba06c9c91326105922669709504c01b7",
-    "diffusion/fragile/text/default": "c4bc7158b3b43e27d3b890f50cd307c8ba06c9c91326105922669709504c01b7",
+    "diffusion/fragile/csv/0": "7d982cd0bed4502bbf6061162890a946f7cc72e5935ec426a92e948f01432b80",
+    "diffusion/fragile/csv/5": "7d982cd0bed4502bbf6061162890a946f7cc72e5935ec426a92e948f01432b80",
+    "diffusion/fragile/csv/default": "7d982cd0bed4502bbf6061162890a946f7cc72e5935ec426a92e948f01432b80",
+    "diffusion/fragile/json/0": "35821a452c325c49542a36020473c890713c8355cd307b86bb497d2181ef0966",
+    "diffusion/fragile/json/5": "35821a452c325c49542a36020473c890713c8355cd307b86bb497d2181ef0966",
+    "diffusion/fragile/json/default": "35821a452c325c49542a36020473c890713c8355cd307b86bb497d2181ef0966",
+    "diffusion/fragile/text/0": "0c78bc260f356dd7765c3be9b29cb264fc18bd6435417e8bee2c75f2125ce877",
+    "diffusion/fragile/text/5": "0c78bc260f356dd7765c3be9b29cb264fc18bd6435417e8bee2c75f2125ce877",
+    "diffusion/fragile/text/default": "0c78bc260f356dd7765c3be9b29cb264fc18bd6435417e8bee2c75f2125ce877",
     "dstable/fragile/json/0": "532f82367c4716cc71e52158504643557daef2a2cc1454659f7cc1f173882c44",
     "dstable/fragile/json/5": "532f82367c4716cc71e52158504643557daef2a2cc1454659f7cc1f173882c44",
     "dstable/fragile/json/default": "532f82367c4716cc71e52158504643557daef2a2cc1454659f7cc1f173882c44",
@@ -183,6 +197,36 @@ def test_golden_table_covers_every_case():
 def test_cli_bytes_match_golden(capsys, monkeypatch, case):
     monkeypatch.delenv("LOGMEASURE_SEED", raising=False)
     assert cli_digest(capsys, *case) == GOLDEN[_key(*case)]
+
+
+def _dynamic_arch_openblas() -> bool:
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+OPENBLAS_KERNELS = ("Haswell", "Sandybridge", "Prescott")
+
+
+@pytest.mark.skipif(
+    not _dynamic_arch_openblas(), reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so no kernel can be chosen"
+)
+def test_golden_table_is_the_same_on_every_openblas_kernel():
+    # each child prints the table of this checkout (the script mode below)
+    # with OPENBLAS_CORETYPE forcing its kernel; this process keeps its own
+    children = {
+        kernel: subprocess.Popen(
+            [sys.executable, __file__],
+            env=dict(os.environ, OPENBLAS_CORETYPE=kernel),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for kernel in OPENBLAS_KERNELS
+    }
+    for kernel, child in children.items():
+        out, err = child.communicate(timeout=300)
+        assert child.returncode == 0, (kernel, err)
+        assert json.loads("{" + out.rstrip().rstrip(",") + "}") == GOLDEN, kernel
 
 
 def print_digest_table() -> None:
