@@ -31,10 +31,18 @@ value = lower and error_bound = (upper - lower) plus a few-ulp pad:
   theta mu_1 + (1 - theta) mu_inf; likewise ||M||_p is at most
   ||M||_2^theta ||M||_inf^(1-theta), resp. ||M||_1^theta ||M||_inf^(1-theta).
 
-In two dimensions a branch-and-bound over the angle of x closes the bracket
-to ``BRACKET_GAP`` times sum |M_ij|, unless ``BRACKET_MAX_EVALS`` stops it
-first; in any other dimension the lower bound comes from a stacked ascent
-and the bracket can be wide. The other estimated norms, piecewise norms
+In two dimensions a branch-and-bound over the angle t of x = (cos t, sin t)
+closes the bracket to ``BRACKET_GAP`` times sum |M_ij|, unless
+``BRACKET_MAX_EVALS`` stops it first. It halves intervals of an end-point
+grid of [0, pi] that starts at 64 intervals, and bounds each by the smaller
+of a first-order bound, from a Lipschitz constant of the quotient in t, and
+a second-order one (Breiman & Cutler 1993), from a bound K on the second
+derivative in t of |Mx|_p^p / |x|_p^p or of phi(x).Mx / |x|_p, which the
+row norms of M and |x|_p^p >= 2^(1 - p/2) give. Only the first-order bound
+applies where K overflows (very large p) and, for the measure at
+2 < p < 3, on an interval that reaches an axis. In any other dimension the
+lower bound comes from a stacked ascent and the bracket can be wide. The
+other estimated norms, piecewise norms
 with a non-polytopal piece or above ``MAX_PIECEWISE_VERTEX_DIM``, have no
 certified route: every matrix-level operation raises ``NoExactPath`` for
 them.
@@ -155,6 +163,7 @@ BRACKET_MAX_EVALS = 1 << 15
 ASCENT_ITERS = 60
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 def _has_lp_core(norm: ValidatedNorm) -> bool:
@@ -193,37 +202,107 @@ def _riesz_thorin(M: np.ndarray, p: float, quantity: str) -> float:
     return min(th2 * m2 + (1 - th2) * minf, th1 * m1 + (1 - th1) * minf)
 
 
-def _branch_and_bound(M, p, quantity, lower, upper, gap, qpad):
-    """Certified bracket for n = 2 over x = (cos t, sin t), t in [0, pi).
+def _curvature(M, p, quantity, Xa, Xb, b):
+    """Bound K on |F''| in t on each interval with end points Xa, Xb (rows),
+    F the function that ``_branch_and_bound`` bounds to second order.
 
-    Both quotients are even in x. With c = 2^(1/p - 1/2) <= |x|_p, and
-    ||D phi||_2 <= (p - 1)/|x|_p, |phi|_2 <= |phi|_q = 1, |Mx|_p <= ||M||_2,
-    they are Lipschitz in t with L = ||M||_2 (1/c + 1/c^2) for the norm and
-    L = ||M||_2 (p/c^2 + 1/c) for the measure. So f(mid) + L halfwidth
-    (plus the evaluation pad) bounds f on an interval, and every interval
-    whose bound exceeds the best value by more than gap is halved, as one
-    batch. Upper is the largest bound of a pruned or still open interval,
-    so it stays certified when the evaluation cap stops the search.
+    With x = (cos t, sin t), y = Mx, S_z = sum |z_i|^p and r_i the 2-norm
+    of row i of M, p >= 2 gives |S_x'| <= p, |S_x''| <= p(p - 1),
+    S_x >= 2^(1 - p/2) = 1/s, and, as y_i = r_i cos(t - theta_i),
+    |S_y'| <= p sum r_i^p and |S_y''| <= p(p - 1) sum r_i^p. The quotient
+    rule then bounds the norm's R = S_y/S_x, taken relative to the level
+    b > 0 as R/b^p, the same on every interval. The measure's G = P/S_x, with
+    P = sum psi(x_i) y_i and psi(z) = sign(z)|z|^(p-1), has |P| <= r_1 + r_2,
+    |P'| <= p (r_1 + r_2) and |P''| <= sum r_i ((p-1)(p-2) w_i^(p-3) + 3p - 2),
+    where w_i^(p-3) <= 1 for p >= 3 and, for 2 < p < 3, w_i is the smaller
+    end point |x_i| of the interval; an interval on which x_i changes sign
+    or vanishes reaches an axis and gets no bound (inf). An overflow, as at
+    p = 1e6, gives inf too.
+    """
+    with np.errstate(over="ignore"):
+        s = np.exp2(p / 2 - 1)
+        tail = (3 * p * p - p) * s**2 + 2 * p * p * s**3
+        if not math.isfinite(tail):
+            return np.full(len(Xa), math.inf)
+        r = np.hypot(M[:, 0], M[:, 1])
+        if quantity == "norm":
+            return np.full(len(Xa), (p * (p - 1) * s + tail) * float(((r / b) ** p).sum()))
+        w = np.where(Xa * Xb > 0, np.minimum(np.abs(Xa), np.abs(Xb)), 0.0)
+        e = np.maximum(w, _TINY) ** (p - 3) if p < 3 else np.ones_like(w)
+        k = s * (((p - 1) * (p - 2) * e + 3 * p - 2) @ r) + tail * r.sum()
+        return np.where((w > 0).all(axis=1) | (p >= 3), k, math.inf)
+
+
+def _branch_and_bound(M, p, quantity, lower, upper, gap, qpad):
+    """Certified bracket for n = 2 over x = (cos t, sin t), t in [0, pi].
+
+    Both quotients are even in x, so [0, pi] covers the circle. The search
+    starts from 64 equal intervals, so pi/2 is an end point, and halves
+    every open interval as one batch: a split costs one quotient. When the
+    evaluation cap leaves fewer splits than open intervals, the intervals
+    with the highest bounds are halved. An interval of halfwidth hw with
+    end values f(a), f(b) is bounded by the smaller of two bounds, each
+    plus the evaluation pad:
+
+    * first order: with c = 2^(1/p - 1/2) <= |x|_p, ||D phi||_2 <= (p-1)/|x|_p,
+      |phi|_2 <= |phi|_q = 1 and |Mx|_p <= ||M||_2, f is Lipschitz in t with
+      L = ||M||_2 (1/c + 1/c^2) for the norm and ||M||_2 (p/c^2 + 1/c) for
+      the measure, so f <= (f(a) + f(b))/2 + L hw;
+    * second order (Breiman & Cutler 1993): with |F''| <= K on the interval,
+      F <= max(F(a), F(b)) + K hw^2/2. For the measure F is the quotient
+      itself; for the norm F = (f/b)^p, b the lower bound after the
+      starting grid (so no power overflows), and the bound on f is b
+      times its p-th root. K comes from ``_curvature``; it is inf, and
+      only the first-order bound applies, where it overflows (very large
+      p) and, for the measure at 2 < p < 3, on an interval that reaches an
+      axis.
+
+    The pads also cover the rounding of the bounds, which is a few ulps of
+    a value at most sum |M_ij|. Every interval whose bound exceeds the best
+    value by more than gap stays open. Upper is the largest bound of a
+    pruned or still open interval, so it stays certified when the
+    evaluation cap stops the search.
     """
     c = 2.0 ** (1.0 / p - 0.5)
     m2 = float(_closed_norm_core(M, 2))
     lip = m2 * (1 / c + 1 / c**2) if quantity == "norm" else m2 * (p / c**2 + 1 / c)
-    hw = math.pi / 16
-    mids = (2 * np.arange(8) + 1) * hw
-    ceiling, evals = -math.inf, 0
+    t = np.linspace(0.0, math.pi, 65)
+    X = np.column_stack([np.cos(t), np.sin(t)])
+    f = _lp_quotients(M, p, X, quantity)
+    evals = t.size
+    lower = max(lower, float(f.max()) - qpad)
+    b = max(lower, _TINY)
+    ta, tb, Xa, Xb, fa, fb = t[:-1], t[1:], X[:-1], X[1:], f[:-1], f[1:]
+    ceiling = -math.inf
     while True:
-        vals = _lp_quotients(M, p, np.column_stack([np.cos(mids), np.sin(mids)]), quantity)
-        evals += mids.size
-        lower = max(lower, float(vals.max()) - qpad)
-        bounds = vals + (lip * hw + qpad)
+        hw = (tb - ta) / 2
+        peak = np.maximum(fa, fb) + qpad
+        with np.errstate(over="ignore"):
+            K = _curvature(M, p, quantity, Xa, Xb, b)
+            if quantity == "norm":
+                second = b * ((peak / b) ** p + K * (hw * hw / 2)) ** (1 / p) + qpad
+            else:
+                second = peak + K * (hw * hw / 2)
+        bounds = np.minimum((fa + fb) / 2 + (lip * hw + qpad), second)
         open_ = bounds > lower + gap
         ceiling = max(ceiling, float(bounds[~open_].max(initial=-math.inf)))
-        mids, bounds = mids[open_], bounds[open_]
+        ta, tb, Xa, Xb, fa, fb, bounds = (v[open_] for v in (ta, tb, Xa, Xb, fa, fb, bounds))
         top = max(ceiling, float(bounds.max(initial=-math.inf)))
-        if mids.size == 0 or min(top, upper) - lower <= gap or evals + 2 * mids.size > BRACKET_MAX_EVALS:
+        k = min(ta.size, BRACKET_MAX_EVALS - evals)
+        if k == 0 or min(top, upper) - lower <= gap:
             return lower, min(top, upper)
-        hw /= 2
-        mids = np.concatenate([mids - hw, mids + hw])
+        if k < ta.size:  # the cap leaves only k splits: take the highest bounds
+            order = np.argsort(-bounds)
+            ta, tb, Xa, Xb, fa, fb = (v[order] for v in (ta, tb, Xa, Xb, fa, fb))
+        tm = (ta[:k] + tb[:k]) / 2
+        Xm = np.column_stack([np.cos(tm), np.sin(tm)])
+        fm = _lp_quotients(M, p, Xm, quantity)
+        evals += k
+        lower = max(lower, float(fm.max()) - qpad)
+        # left halves, the intervals left whole, right halves
+        ta, tb = np.concatenate([ta, tm]), np.concatenate([tm, tb[k:], tb[:k]])
+        Xa, Xb = np.concatenate([Xa, Xm]), np.concatenate([Xm, Xb[k:], Xb[:k]])
+        fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb[k:], fb[:k]])
 
 
 def _ascent(M, p, quantity, lower, upper, gap, qpad, seed) -> float:
@@ -363,10 +442,15 @@ def matrix_measure(
 def measure_quotient(A, norm: ValidatedNorm, h: float, *, seed=None) -> float:
     """One-sided difference quotient (||I + h A|| - 1)/h at a given h > 0.
 
-    Nonincreasing as h decreases; upper-bounds the matrix measure.
+    Nonincreasing as h decreases; upper-bounds the matrix measure, up to
+    the rounding of the subtraction. Only exact routes qualify: on an
+    estimated norm the value of ||I + h A|| is a lower bound, which gives
+    no upper bound on the measure, so those norms raise NoExactPath.
     """
     if not (h > 0):
         raise ValueError(f"h must be positive, got {h}")
+    if norm.route == "estimated":
+        raise NoExactPath("the difference quotient requires an exact norm route")
     A = _bind_matrix(A, norm)
     eye = np.eye(A.shape[0])
     nr = induced_matrix_norm(eye + h * A, norm, seed=seed)

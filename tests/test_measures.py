@@ -32,6 +32,7 @@ from logmeasure import (
     spectral_abscissa,
     validate_norm_spec,
 )
+from logmeasure import measures
 
 ATOL = 1e-9
 RNG = np.random.default_rng(1129)
@@ -231,6 +232,18 @@ def test_quotient_decreases_toward_measure():
     assert vals[-1] >= matrix_measure(A, L2).value - 1e-12
 
 
+def test_quotient_refuses_estimated_norms():
+    # an estimated ||I + hA|| is a lower bound, so the quotient would bound
+    # nothing: under l_3 it read -1.00000003 at h = 1e-6, while the
+    # certified measure lies in [0.0674, 0.308]
+    A = np.array([[-1.0, 2.0, 0.0], [0.5, -2.0, 1.0], [0.0, 1.0, -3.0]])
+    for spec in (Lp(3.0), Scaled(np.diag([1.0, 2.0, 0.5]), Lp(1.5))):
+        norm = validate_norm_spec(spec, dim=3)
+        assert norm.route == "estimated"
+        with pytest.raises(NoExactPath):
+            measure_quotient(A, norm, 1e-6)
+
+
 # ---------------------------------------------------------- estimated route
 
 
@@ -356,6 +369,103 @@ def test_lp_bracket_is_tight_in_2d_for_moderate_p():
         norm = validate_norm_spec(Lp(p), dim=2)
         for fn in (matrix_measure, induced_matrix_norm):
             assert fn(A, norm).error_bound <= 1e-5
+
+
+def _count_quotient_rows(monkeypatch) -> list:
+    """Patch the bracket's quotient evaluator to add the rows of each call
+    to the last entry of the returned list."""
+    rows = [0]
+    quotients = measures._lp_quotients
+
+    def counted(M, p, X, quantity):
+        rows[-1] += X.shape[0]
+        return quotients(M, p, X, quantity)
+
+    monkeypatch.setattr(measures, "_lp_quotients", counted)
+    return rows
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0, 50.0])
+def test_lp_bracket_holds_the_swept_value_for_many_matrices(p, monkeypatch):
+    # containment and the caps, and a width of at most BRACKET_GAP times
+    # sum |M_ij| plus the pad unless the evaluation cap stopped the search
+    rows = _count_quotient_rows(monkeypatch)
+    rng = np.random.default_rng(int(p * 10) + 7)
+    for scaled in (False, True):
+        for _ in range(50):
+            A = rng.uniform(-2.0, 2.0, (2, 2))
+            T = np.eye(2) + 0.5 * rng.standard_normal((2, 2)) if scaled else np.eye(2)
+            norm = validate_norm_spec(Scaled(T, Lp(p)) if scaled else Lp(p), dim=2)
+            M = T @ A @ np.linalg.inv(T)
+            scale = np.abs(M).sum()
+            tol = 1e-9 * scale
+            width = (measures.BRACKET_GAP + 40 * np.finfo(float).eps) * scale + tol
+            for measure, fn in ((True, matrix_measure), (False, induced_matrix_norm)):
+                rows[-1] = 0
+                r = fn(A, norm)
+                lo, hi = _bracket(r)
+                swept = _swept_quantity(M, p, measure)
+                assert lo <= swept + tol and swept <= hi, (p, scaled, measure, A, T, lo, swept, hi)
+                assert hi <= _riesz_thorin_caps(M, p, measure) + tol
+                assert r.error_bound <= width or rows[-1] >= measures.BRACKET_MAX_EVALS, (p, A, T, r)
+
+
+def _second_difference(M: np.ndarray, p: float, measure: bool, t: np.ndarray, h: float) -> np.ndarray:
+    """|F(t + h) - 2F(t) + F(t - h)| / h^2 for the functions whose second
+    derivative the bracket bounds: R = |Mx|_p^p / |x|_p^p for the norm and
+    G = sum sign(x_i)|x_i|^(p-1)(Mx)_i / |x|_p^p for the measure."""
+
+    def F(s):
+        X = np.column_stack([np.cos(s), np.sin(s)])
+        S = (np.abs(X) ** p).sum(axis=1)
+        Y = X @ M.T
+        top = (np.sign(X) * np.abs(X) ** (p - 1) * Y).sum(axis=1) if measure else (np.abs(Y) ** p).sum(axis=1)
+        return top / S
+
+    return np.abs(F(t + h) - 2 * F(t) + F(t - h)) / h**2
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 7.0])
+def test_curvature_bound_holds_on_every_interval(p):
+    # K as the bracket computes it on each of 256 intervals of [0, pi],
+    # against centred second differences at 16 points inside each; at
+    # p = 2.5 the measure's K grows like |x_i|^(p-3) on the intervals next
+    # to an axis, which are checked here, and is inf on those that reach one
+    rng = np.random.default_rng(int(p * 10))
+    h = 1e-4
+    t = np.linspace(0.0, np.pi, 257)
+    X = np.column_stack([np.cos(t), np.sin(t)])
+    inner = t[:-1, None] + h + (t[1] - t[0] - 2 * h) * np.linspace(0.0, 1.0, 16)
+    for scaled in (False, True):
+        for _ in range(5):
+            M = rng.uniform(-2.0, 2.0, (2, 2))
+            if scaled:
+                T = np.eye(2) + 0.5 * rng.standard_normal((2, 2))
+                M = T @ M @ np.linalg.inv(T)
+            for measure in (True, False):
+                K = measures._curvature(M, p, "measure" if measure else "norm", X[:-1], X[1:], 1.0)
+                d2 = _second_difference(M, p, measure, inner.ravel(), h).reshape(inner.shape).max(axis=1)
+                assert (K >= d2).all(), (p, measure, M, np.flatnonzero(K < d2))
+                if measure and p < 3:
+                    # t = 0 and the crossing of pi/2 reach an axis; the float
+                    # end points pi/2 and pi lie just short of theirs
+                    at_axis = np.isin(np.arange(256), [0, 128])
+                    assert np.isinf(K[at_axis]).all() and np.isfinite(K[~at_axis]).all()
+                else:
+                    assert np.isfinite(K).all()
+
+
+def test_lp_bracket_work_is_bounded_in_2d(monkeypatch):
+    # a count of quotient rows, not a timing: each bracket of this matrix
+    # took 9,124-14,246 rows under a first-order bound alone
+    rows = _count_quotient_rows(monkeypatch)
+    A = np.array([[0.3, -1.2], [0.7, 0.1]])
+    for p in (1.5, 3.0, 4.0):
+        norm = validate_norm_spec(Lp(p), dim=2)
+        for fn in (matrix_measure, induced_matrix_norm):
+            rows[-1] = 0
+            assert fn(A, norm).error_bound <= 1e-5
+            assert 0 < rows[-1] <= 1000, (p, fn.__name__, rows[-1])
 
 
 def test_lp_bracket_never_exceeds_the_interpolation_caps():
