@@ -12,7 +12,8 @@ Exactness hierarchy: polytope-ball norms and scaled l_1/l_2/l_inf norms
 are decided exactly, by n checks each: the sign diagonals are generated
 by the n single flips and the 0/1 diagonals by the n projections, so
 convexity reduces every condition to those (closed-form operator norms,
-or the extreme points of the ball). Everything else falls back to
+or the extreme points of the ball). Bare l_p norms are absolute. That
+leaves scaled generic l_p norms (1 < p < inf, p != 2), which fall back to
 seeded sampling with exact=False on a pass. A counterexample found by
 any route makes the verdict exact: the witness re-checks by direct
 evaluation.

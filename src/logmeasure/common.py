@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-# Default seed for every sampled check in the package (CLI, validation,
+# Default seed for every sampled check in the package (CLI, l_p ascent,
 # classifiers, certificate family, grid falsifier). Overridable per call.
 DEFAULT_SEED = 0xC0FFEE
 

@@ -13,9 +13,10 @@ right-hand derivative of h -> ||I + h A|| at h = 0+. Exact routes:
   F (Blanchini & Miani, Set-Theoretic Methods in Control).
 
 Everything else is ``estimated``: a positive error_bound and never a claim
-of exactness. A norm with an l_p core, 1 < p < inf (``Lp(p)`` and
-``Scaled(T, Lp(p))``), gets a certified bracket [lower, upper] of the
-quantity of M = T A T^-1 under |.|_p, computed in numpy; the result is
+of exactness. Those are exactly the norms with an l_p core, 1 < p < inf
+(``Lp(p)`` and ``Scaled(T, Lp(p))``), since validation refuses piecewise
+specs without a polytope ball. Each gets a certified bracket [lower, upper]
+of the quantity of M = T A T^-1 under |.|_p, computed in numpy; the result is
 value = lower and error_bound = (upper - lower) plus a few-ulp pad:
 
 * duality makes p >= 2: ||I + hM||_p = ||I + hM^T||_q with 1/p + 1/q = 1,
@@ -41,11 +42,7 @@ derivative in t of |Mx|_p^p / |x|_p^p or of phi(x).Mx / |x|_p, which the
 row norms of M and |x|_p^p >= 2^(1 - p/2) give. Only the first-order bound
 applies where K overflows (very large p) and, for the measure at
 2 < p < 3, on an interval that reaches an axis. In any other dimension the
-lower bound comes from a stacked ascent and the bracket can be wide. The
-other estimated norms, piecewise norms
-with a non-polytopal piece or above ``MAX_PIECEWISE_VERTEX_DIM``, have no
-certified route: every matrix-level operation raises ``NoExactPath`` for
-them.
+lower bound comes from a stacked ascent and the bracket can be wide.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ import numpy as np
 
 from .common import TOL_EXACT, as_rng, as_square_matrix
 from .errors import DimensionMismatch, EigenFailure, NoExactPath
-from .norms import MAX_PIECEWISE_VERTEX_DIM, ValidatedNorm, _lp_eval_many
+from .norms import ValidatedNorm, _lp_eval_many
 
 
 @dataclass
@@ -164,10 +161,6 @@ ASCENT_ITERS = 60
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-
-
-def _has_lp_core(norm: ValidatedNorm) -> bool:
-    return norm.core_p is not None and 1 < norm.core_p < math.inf
 
 
 def _lp_dual_rows(X: np.ndarray, p: float, nx: np.ndarray | None = None) -> np.ndarray:
@@ -380,14 +373,6 @@ def _lp_bracket(M: np.ndarray, p: float, quantity: str, seed) -> MeasureResult:
     return MeasureResult(lower, "estimated", max(upper - lower, 0.0) + pad)
 
 
-def _require_lp_core(norm: ValidatedNorm) -> None:
-    if not _has_lp_core(norm):
-        raise NoExactPath(
-            f"no certified estimate under this {norm.kind} norm: estimates cover l_p cores, 1 < p < inf, "
-            f"and a piecewise norm is exact only with polytope pieces and n <= {MAX_PIECEWISE_VERTEX_DIM}"
-        )
-
-
 def estimate_induced_norm(
     A,
     norm: ValidatedNorm,
@@ -402,7 +387,10 @@ def estimate_induced_norm(
     induced_matrix_norm.
     """
     A = _bind_matrix(A, norm)
-    _require_lp_core(norm)
+    if norm.route != "estimated":
+        raise NoExactPath(
+            f"no certified estimate under this {norm.kind} norm: estimates cover l_p cores, 1 < p < inf"
+        )
     return _lp_bracket(_core_frame(A, norm), norm.core_p, "norm", seed)
 
 
@@ -435,7 +423,6 @@ def matrix_measure(
         return MeasureResult(float(_closed_mu_many(A, norm)), _CLOSED_METHODS[route])
     if route == "polyhedral":
         return MeasureResult(norm._polytope.measure(A), "exact_polyhedral")
-    _require_lp_core(norm)
     return _lp_bracket(_core_frame(A, norm), norm.core_p, "measure", seed)
 
 

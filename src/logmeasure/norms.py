@@ -13,13 +13,14 @@ Supported families:
 dimension, the analysis route used by the matrix-level operations, and one
 representation of the norm, which evaluation, measures and classifiers
 all read: an l_p core behind a collapsed change of coordinates
-(``core_p``, ``flat_T``), one ``_Polytope`` (extreme points, facet normals
-and their incidence) for polytope balls, or an orthant case table.
+(``core_p``, ``flat_T``), or one ``_Polytope`` (extreme points, facet
+normals and their incidence) for polytope balls.
 
-A piecewise spec whose pieces are all polytopes, up to
-MAX_PIECEWISE_VERTEX_DIM, is decided exactly and held as its rebuilt ball
-alone. Any other piecewise spec keeps the case table and is validated by
-seeded sampling, so its acceptance is probabilistic.
+Validation is exact and deterministic. A piecewise spec is accepted only
+when every piece is a polytope and n <= MAX_PIECEWISE_VERTEX_DIM: it is
+then decided exactly and held as its rebuilt ball alone. Any other
+piecewise spec is refused, with NoExactPath for a non-polytopal piece and
+UnsupportedDimension above the cap.
 
 All functions are pure, and a ValidatedNorm is never mutated after
 validation: the unit-ball vertices of a closed-form norm are derived on
@@ -39,10 +40,11 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .common import DEFAULT_SEED, TOL_VERTEX, as_rng, as_vector
+from .common import TOL_VERTEX, as_vector
 from .errors import (
     DegenerateBall,
     DimensionMismatch,
+    NoExactPath,
     NotCentrallySymmetric,
     NotConvex,
     NotPolyhedral,
@@ -55,12 +57,10 @@ from .errors import (
 # the package refuses rather than exhausting memory.
 MAX_SIGN_ENUM_DIM = 16
 
-# PiecewiseOrthant needs one case per orthant, 2**n of them.
-MAX_PIECEWISE_DIM = 12
-
-# Exact polytope reconstruction for piecewise norms stops here: validating
-# all-l_inf pieces (2**n facets each) takes about 0.14 s at n = 5 and 1.3 s
-# at n = 6 on a 2-core x86 host.
+# PiecewiseOrthant needs one case per orthant, 2**n of them, and is
+# refused above this cap: rebuilding the glued ball from all-l_inf pieces
+# (2**n facets each) takes about 0.14 s at n = 5 and 1.3 s at n = 6 on a
+# 2-core x86 host.
 MAX_PIECEWISE_VERTEX_DIM = 5
 
 
@@ -165,6 +165,12 @@ def _check_symmetric(V: np.ndarray, tol: float) -> None:
         raise NotCentrallySymmetric(f"vertex {v.tolist()} has no antipode in the set")
 
 
+def _qhull_reason(exc: Exception) -> str:
+    """The first line of a QhullError, which goes on to dump Qhull's options
+    and state over dozens of lines."""
+    return str(exc).strip().partition("\n")[0]
+
+
 def _canonical_row_order(V: np.ndarray) -> np.ndarray:
     order = np.lexsort(V.T[::-1])
     return V[order]
@@ -210,7 +216,7 @@ class _Polytope:
         try:
             hull = ConvexHull(P)
         except QhullError as exc:
-            raise DegenerateBall(f"vertex set does not span a full-dimensional ball: {exc}") from exc
+            raise DegenerateBall(f"vertex set does not span a full-dimensional ball: {_qhull_reason(exc)}") from exc
         # Qhull triangulates each facet and copies its equation to every
         # simplex of it, so bytewise-equal rows are one facet.
         rows = np.ascontiguousarray(hull.equations).view(np.dtype((np.void, 8 * (n + 1))))
@@ -341,7 +347,8 @@ def _lp_eval_many(p: float, X: np.ndarray) -> np.ndarray:
 
 
 def _lp_ball_vertices(p: float, n: int) -> np.ndarray:
-    if p == 1:
+    # in one dimension every l_p ball is the segment [-1, 1]
+    if p == 1 or n == 1:
         return np.vstack([np.eye(n), -np.eye(n)])
     if p == math.inf:
         if n > MAX_SIGN_ENUM_DIM:
@@ -350,28 +357,6 @@ def _lp_ball_vertices(p: float, n: int) -> np.ndarray:
             )
         return np.array(list(itertools.product((1.0, -1.0), repeat=n)))
     raise NotPolyhedral(f"the l_{p} ball is not a polytope")
-
-
-def _orthant_index(signs: str) -> int:
-    return sum(1 << i for i, c in enumerate(signs) if c == "-")
-
-
-def _pattern_indices(X: np.ndarray) -> np.ndarray:
-    """Orthant index per row; zero coordinates count as '+'."""
-    neg = X < 0
-    weights = 1 << np.arange(X.shape[1])
-    return (neg * weights).sum(axis=1)
-
-
-def _piecewise_eval(table: "dict[int, ValidatedNorm]", X: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate each row of X under the case idx names, by default the one
-    its orthant index selects."""
-    out = np.empty(X.shape[0])
-    idx = _pattern_indices(X) if idx is None else idx
-    for key in np.unique(idx):
-        mask = idx == key
-        out[mask] = table[key].evaluate_many(X[mask])
-    return out
 
 
 class ValidatedNorm:
@@ -384,16 +369,13 @@ class ValidatedNorm:
       change of coordinates (possibly a collapsed chain of scalings):
       ``core_p`` and ``flat_T``, so |x| = l_core_p(flat_T x),
     * ``'polyhedral'``    the unit ball is a known polytope (polyhedral
-      specs, piecewise specs with polytope pieces up to
-      ``MAX_PIECEWISE_VERTEX_DIM``, and their scalings), held in
-      ``_polytope``,
-    * ``'estimated'``     no exact matrix-level route: generic l_p and scaled
-      generic l_p, which get a certified bracket, and the other piecewise
-      norms, which get no matrix-level result at all.
+      specs, piecewise specs, and their scalings), held in ``_polytope``,
+    * ``'estimated'``     an l_p core with 1 < p < inf (generic l_p and
+      scaled generic l_p): no exact matrix-level route, but a certified
+      bracket.
 
     Evaluation reads the same representation, never the spec tree: the
-    polytope gauge, else ``flat_T`` (if any) then the l_``core_p`` norm or,
-    for the piecewise norms with no polytope, the orthant case table.
+    polytope gauge, else ``flat_T`` (if any) then the l_``core_p`` norm.
 
     Instances are never mutated after construction. Build them with
     :func:`validate_norm_spec`.
@@ -408,7 +390,6 @@ class ValidatedNorm:
         polytope: _Polytope | None = None,
         flat_T: np.ndarray | None = None,
         core_p: float | None = None,
-        case_table: "dict[int, ValidatedNorm] | None" = None,
     ):
         self.spec = spec
         self.dim = dim
@@ -417,7 +398,6 @@ class ValidatedNorm:
         self.flat_T = flat_T
         self.flat_Tinv = np.linalg.inv(flat_T) if flat_T is not None else None
         self.core_p = core_p
-        self._case_table = case_table
         self.route = self._compute_route()
 
     def _compute_route(self) -> str:
@@ -437,8 +417,6 @@ class ValidatedNorm:
             return self._polytope.gauge_many(X)
         if self.flat_T is not None:
             X = X @ self.flat_T.T
-        if self._case_table is not None:
-            return _piecewise_eval(self._case_table, X)
         return _lp_eval_many(self.core_p, X)
 
     def __call__(self, x) -> float:
@@ -464,8 +442,6 @@ def unit_ball_vertices(norm: ValidatedNorm) -> np.ndarray:
         return norm._polytope.vertices.copy()
     if norm.dim is None:
         raise DimensionMismatch("lp spec has no bound dimension; validate with dim=...")
-    if norm.core_p is None:
-        raise NotPolyhedral("unit ball of this spec is not available as a polytope")
     V = _lp_ball_vertices(norm.core_p, norm.dim)
     return V if norm.flat_T is None else _canonical_row_order(V @ norm.flat_Tinv.T)
 
@@ -485,7 +461,7 @@ def _validate_lp(spec: Lp, dim: int | None) -> ValidatedNorm:
     return ValidatedNorm(spec, dim, "lp", core_p=p)
 
 
-def _validate_scaled(spec: Scaled, dim: int | None, seed) -> ValidatedNorm:
+def _validate_scaled(spec: Scaled, dim: int | None) -> ValidatedNorm:
     T = np.asarray(spec.T, dtype=float)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValidationError(f"scaling matrix must be square, got shape {T.shape}")
@@ -499,14 +475,12 @@ def _validate_scaled(spec: Scaled, dim: int | None, seed) -> ValidatedNorm:
         # T = 0 has the ratio 0 / 0
         ratio = sv[-1] / sv[0] if sv[0] > 0.0 else 0.0
         raise SingularScaling(f"scaling matrix singular to working precision (sv ratio {ratio:.2e})")
-    inner = validate_norm_spec(spec.inner, dim=n, seed=seed)
+    inner = validate_norm_spec(spec.inner, dim=n)
     # Collapse chains of scalings: |x| = inner(T x) with inner itself scaled
     # by S around a core means core norm evaluated at (S_flat T) x.
     flat_T = T if inner.flat_T is None else inner.flat_T @ T
     polytope = None if inner._polytope is None else inner._polytope.transformed(T)
-    return ValidatedNorm(
-        spec, n, "scaled", polytope=polytope, flat_T=flat_T, core_p=inner.core_p, case_table=inner._case_table
-    )
+    return ValidatedNorm(spec, n, "scaled", polytope=polytope, flat_T=flat_T, core_p=inner.core_p)
 
 
 def _validate_polyhedral(spec: Polyhedral, dim: int | None) -> ValidatedNorm:
@@ -527,55 +501,6 @@ def _validate_polyhedral(spec: Polyhedral, dim: int | None) -> ValidatedNorm:
     # Interior points are dropped, not rejected: the hull (and hence the
     # gauge) is unchanged, and downstream code may assume minimality.
     return ValidatedNorm(spec, n, "polyhedral", polytope=_Polytope.hull_of(V))
-
-
-def _piecewise_sampled_checks(table: "dict[int, ValidatedNorm]", n: int, rng: np.random.Generator) -> None:
-    """Seeded checks of a piecewise norm that has no polytope ball."""
-    # Central symmetry of the glued function.
-    X = rng.standard_normal((200, n))
-    vx = _piecewise_eval(table, X)
-    vmx = _piecewise_eval(table, -X)
-    bad = np.abs(vx - vmx) > 1e-9 * (1 + np.abs(vx))
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise NotCentrallySymmetric(
-            f"|x| != |-x| at x={X[i].tolist()} ({vx[i]:.12g} vs {vmx[i]:.12g})"
-        )
-
-    # Adjacent orthants must agree on the shared boundary, otherwise the
-    # glued function is not even continuous. Each sample x has x_j = 0 and
-    # is read by the two cases that differ in sign j; the (x, j) pairs are
-    # drawn one by one, so the stream is the same for any batching.
-    draws = [(rng.standard_normal(n), int(rng.integers(n))) for _ in range(200)]
-    X = np.array([x for x, _ in draws])
-    J = np.array([j for _, j in draws])
-    X[np.arange(J.size), J] = 0.0
-    plus = _pattern_indices(X)
-    v_plus = _piecewise_eval(table, X, plus)
-    v_minus = _piecewise_eval(table, X, plus | (1 << J))
-    bad = np.abs(v_plus - v_minus) > 1e-9 * (1 + np.abs(v_plus))
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise NotConvex(
-            f"orthant pieces disagree on the boundary at {X[i].tolist()}: "
-            f"{v_plus[i]:.12g} vs {v_minus[i]:.12g}"
-        )
-
-    # Convexity across orthants, sampled at midpoints.
-    X = rng.standard_normal((1000, n))
-    Y = rng.standard_normal((1000, n))
-    different = _pattern_indices(X) != _pattern_indices(Y)
-    X, Y = X[different], Y[different]
-    mid = 0.5 * (X + Y)
-    lhs = _piecewise_eval(table, mid)
-    rhs = 0.5 * (_piecewise_eval(table, X) + _piecewise_eval(table, Y))
-    bad = lhs > rhs + 1e-9 * (1 + rhs)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise NotConvex(
-            f"midpoint convexity fails between {X[i].tolist()} and {Y[i].tolist()}: "
-            f"|mid|={lhs[i]:.12g} > {rhs[i]:.12g}"
-        )
 
 
 def _orthant_points(norm: ValidatedNorm, sigma: np.ndarray) -> np.ndarray:
@@ -604,7 +529,7 @@ def _orthant_points(norm: ValidatedNorm, sigma: np.ndarray) -> np.ndarray:
     try:
         hs = HalfspaceIntersection(H, x0)
     except QhullError as exc:
-        raise DegenerateBall(f"the ball's cut to the orthant {sigma.tolist()} is degenerate: {exc}") from exc
+        raise DegenerateBall(f"the ball's cut to the orthant {sigma.tolist()} is degenerate: {_qhull_reason(exc)}") from exc
     on_plane = np.zeros((len(hs.dual_facets), n), dtype=bool)
     for k, facets in enumerate(hs.dual_facets):
         on_plane[k, [f - m for f in facets if f >= m]] = True
@@ -615,26 +540,15 @@ def _sign_vector(signs: str) -> np.ndarray:
     return np.array([1.0 if c == "+" else -1.0 for c in signs])
 
 
-def _piecewise_polytope(cases: dict[str, ValidatedNorm], n: int) -> _Polytope | None:
-    """The hull K of the pieces B_sigma ∩ Q_sigma, or None when a piece is
-    not a polytope or n is above the reconstruction cap."""
-    if n > MAX_PIECEWISE_VERTEX_DIM:
-        return None
-    try:
-        pieces = [_orthant_points(inner, _sign_vector(signs)) for signs, inner in cases.items()]
-    except NotPolyhedral:
-        return None
-    return _Polytope.hull_of(_dedup_rows(np.vstack(pieces), TOL_VERTEX))
-
-
-def _validate_piecewise(spec: PiecewiseOrthant, dim: int | None, seed) -> ValidatedNorm:
-    """Decide a piecewise spec exactly when its ball K can be rebuilt.
+def _validate_piecewise(spec: PiecewiseOrthant, dim: int | None) -> ValidatedNorm:
+    """Decide a piecewise spec exactly by rebuilding its ball K.
 
     K is the hull of the pieces B_sigma ∩ Q_sigma, so it contains each of
     them, and the glued function is the gauge of K iff K ∩ Q_sigma lies in
     B_sigma for every sigma: iff each extreme point of K ∩ Q_sigma has piece
     value at most 1. That gauge is a norm iff K holds the antipode of each
-    extreme point. Without K, the checks are sampled.
+    extreme point. K is rebuilt only from polytope pieces, so a spec with
+    any other piece is refused.
     """
     items = dict(spec.cases)
     if not items:
@@ -642,9 +556,9 @@ def _validate_piecewise(spec: PiecewiseOrthant, dim: int | None, seed) -> Valida
     n = len(next(iter(items)))
     if dim is not None and dim != n:
         raise DimensionMismatch(f"requested dim {dim} but sign patterns have length {n}")
-    if n > MAX_PIECEWISE_DIM:
+    if n > MAX_PIECEWISE_VERTEX_DIM:
         raise UnsupportedDimension(
-            f"piecewise specs need 2**n cases; capped at n={MAX_PIECEWISE_DIM}"
+            f"piecewise specs need 2**n cases and a rebuilt ball; capped at n={MAX_PIECEWISE_VERTEX_DIM}"
         )
     for key in items:
         if len(key) != n or any(c not in "+-" for c in key):
@@ -657,14 +571,16 @@ def _validate_piecewise(spec: PiecewiseOrthant, dim: int | None, seed) -> Valida
         ]
         raise ValidationError(f"orthant coverage incomplete; missing {missing[:4]}")
 
-    cases = {
-        key: validate_norm_spec(inner, dim=n, seed=seed) for key, inner in items.items()
-    }
-    polytope = _piecewise_polytope(cases, n)
-    if polytope is None:
-        table = {_orthant_index(k): v for k, v in cases.items()}
-        _piecewise_sampled_checks(table, n, as_rng(seed))
-        return ValidatedNorm(spec, n, "piecewise", case_table=table)
+    cases = {key: validate_norm_spec(inner, dim=n) for key, inner in items.items()}
+    pieces = []
+    for signs, inner in cases.items():
+        try:
+            pieces.append(_orthant_points(inner, _sign_vector(signs)))
+        except NotPolyhedral as exc:
+            raise NoExactPath(
+                f"piece {signs!r} is not a polytope: piecewise norms are decided only with polytope pieces"
+            ) from exc
+    polytope = _Polytope.hull_of(_dedup_rows(np.vstack(pieces), TOL_VERTEX))
     norm = ValidatedNorm(spec, n, "piecewise", polytope=polytope)
     for signs, inner in cases.items():
         W = _orthant_points(norm, _sign_vector(signs))
@@ -685,25 +601,20 @@ def _validate_piecewise(spec: PiecewiseOrthant, dim: int | None, seed) -> Valida
     return norm
 
 
-def validate_norm_spec(
-    spec: NormSpec,
-    *,
-    dim: int | None = None,
-    seed: int | np.random.Generator | None = DEFAULT_SEED,
-) -> ValidatedNorm:
+def validate_norm_spec(spec: NormSpec, *, dim: int | None = None) -> ValidatedNorm:
     """Validate a norm spec and attach its representation and analysis route.
 
     dim binds the dimension of a bare lp spec (other families carry their
-    own); seed drives every sampled check, so validation is deterministic.
+    own). Every check is exact, so validation is deterministic.
     """
     if isinstance(spec, Lp):
         return _validate_lp(spec, dim)
     if isinstance(spec, Scaled):
-        return _validate_scaled(spec, dim, seed)
+        return _validate_scaled(spec, dim)
     if isinstance(spec, Polyhedral):
         return _validate_polyhedral(spec, dim)
     if isinstance(spec, PiecewiseOrthant):
-        return _validate_piecewise(spec, dim, seed)
+        return _validate_piecewise(spec, dim)
     raise ValidationError(f"unknown norm spec type {type(spec).__name__}")
 
 

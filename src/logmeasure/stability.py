@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -73,6 +74,8 @@ MINOR_MAX_DIM = 8
 FALSIFY_SPECTRA = 10_000
 # The shifts t tried for one unstable submatrix: (1 + ||B||_inf) * 2^k.
 _MINOR_LADDER = 2.0 ** np.arange(-4, 20)
+# The largest diagonal shift the 2x2 destabilizer writes, with its entry.
+_MAX_SHIFT = Fraction(float(np.finfo(float).max)) / 2
 
 
 def is_hurwitz(A) -> bool:
@@ -267,14 +270,23 @@ def diagonal_negativity_check(A, norm: ValidatedNorm) -> DiagonalSignReport:
     return DiagonalSignReport(mu, diag_ok)
 
 
+def _det_2x2(A: np.ndarray) -> Fraction:
+    """det(A) of a 2x2 float matrix, exactly: every float is a rational."""
+    (a, b), (c, d) = ((Fraction(x) for x in row) for row in A.tolist())
+    return a * d - b * c
+
+
 def additive_d_stable_2x2(A) -> bool:
-    """Exact test for 2x2: tr(A) < 0, det(A) > 0, and a_11, a_22 <= 0."""
+    """Exact test for 2x2: tr(A) < 0, det(A) > 0, and a_11, a_22 <= 0.
+
+    The signs are decided in rationals, so a product that rounds or
+    overflows in floating point cannot flip them.
+    """
     A = as_square_matrix(A)
     if A.shape[0] != 2:
         raise WrongDimension("exact additive D-stability test is 2x2 only")
-    tr = float(A[0, 0] + A[1, 1])
-    det = float(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
-    return tr < 0.0 and det > 0.0 and A[0, 0] <= 0.0 and A[1, 1] <= 0.0
+    tr = Fraction(A[0, 0]) + Fraction(A[1, 1])
+    return tr < 0 and _det_2x2(A) > 0 and A[0, 0] <= 0.0 and A[1, 1] <= 0.0
 
 
 def additive_d_stable_metzler(A) -> bool:
@@ -426,14 +438,22 @@ def _destabilizer_2x2(A: np.ndarray) -> tuple[np.ndarray, str | None]:
     s0 = spectral_abscissa(A)
     if s0 > FALSIFY_THRESHOLD:
         return np.zeros((2, 2)), None
-    det = float(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
-    # det(A - diag(0,t)) = det(A) - t a_11 goes negative along the ray
-    if A[0, 0] > 0:
-        t = 2.0 * max(1.0, det / float(A[0, 0]))
-        return np.diag([0.0, t]), None
-    if A[1, 1] > 0:
-        t = 2.0 * max(1.0, det / float(A[1, 1]))
-        return np.diag([t, 0.0]), None
+    det = _det_2x2(A)
+    for i in (0, 1):
+        if A[i, i] > 0:
+            # det(A - t e_j e_j^T) = det(A) - t a_ii, j != i, goes negative
+            # along the ray; t is used only where a_jj - t stays far from
+            # overflow
+            t = 2 * max(1, det / Fraction(A[i, i]))
+            if t + abs(Fraction(A[1 - i, 1 - i])) <= _MAX_SHIFT:
+                D = np.zeros((2, 2))
+                D[1 - i, 1 - i] = float(t)
+                return D, None
+    if A[0, 0] > 0 or A[1, 1] > 0:
+        return np.zeros((2, 2)), (
+            "a positive diagonal entry makes A unstable once the other diagonal "
+            "entry is shifted far enough, but that shift overflows floating point"
+        )
     return np.zeros((2, 2)), (
         "marginal case: A is not Hurwitz at D=0, but no nonnegative diagonal "
         "shift produces a strictly positive abscissa"

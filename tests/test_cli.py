@@ -11,12 +11,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 import logmeasure
 from logmeasure.cli import main
 from logmeasure.stability import DStabilityReport
+from test_golden import OPENBLAS_KERNELS, _dynamic_arch_openblas
 
 # irreducible, and no principal submatrix is unstable, so no exact path
 # decides it; a_11 = 0 leaves no admissible-measure certificate
@@ -360,13 +361,22 @@ def test_integer_fields_refuse_non_integers_and_oversized_budgets(capsys, tmp_pa
 
 
 def test_piecewise_norm_without_exact_route_is_refused(capsys, tmp_path):
-    # l_2 pieces are not polytopes: no exact route, and no certified estimate
+    # l_2 pieces are not polytopes: no exact route, so validation refuses
+    # the spec, for classify as well as for measure
     cases = [{"signs": s, "inner": {"kind": "lp", "p": 2}} for s in ("++", "+-", "-+", "--")]
     doc = {"matrix": [[-1, 0.5], [0.2, -1]], "norm": {"kind": "piecewise_orthant", "cases": cases}}
-    for op in ("measure", "norm"):
-        code, out, err = _run(capsys, "measure", "--in", _write_doc(tmp_path, {**doc, "op": op}))
-        assert (code, out) == (65, ""), op
+    for cmd, op in (("measure", "measure"), ("measure", "norm"), ("classify", None)):
+        code, out, err = _run(capsys, cmd, "--in", _write_doc(tmp_path, {**doc, "op": op} if op else doc))
+        assert (code, out) == (65, ""), (cmd, op)
         assert len(err.splitlines()) == 1 and "NoExactPath" in err and "Traceback" not in err
+
+
+def test_qhull_refusal_is_one_line(capsys, tmp_path):
+    # Qhull's own message runs to dozens of lines; the refusal keeps its first
+    doc = {"norm": {"kind": "polyhedral", "vertices": [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]]}}
+    code, out, err = _run(capsys, "classify", "--in", _write_doc(tmp_path, doc))
+    assert (code, out) == (65, "")
+    assert len(err.splitlines()) == 1 and "DegenerateBall" in err and "Qhull" in err
 
 
 def test_huge_p_measure_brackets_the_linf_value(capsys, tmp_path):
@@ -473,21 +483,88 @@ _HOSTILE_DSTABLE = st.fixed_dictionaries(
 )
 
 
-@seed(25)
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=_HOSTILE_DSTABLE)
-def test_hostile_dstable_documents_keep_the_exit_contract(capsys, tmp_path_factory, doc):
-    path = tmp_path_factory.mktemp("hostile") / "in.json"
-    path.write_text(json.dumps(doc))
-    with warnings.catch_warnings(record=True) as caught, np.errstate(over="raise", invalid="raise", divide="raise"):
-        warnings.simplefilter("always")
-        code, out, err = _run(capsys, "dstable", "--in", str(path))
+def _eigen_failure_11x11() -> list:
+    # LAPACK's eigvals does not converge on this matrix: exit 65, not 70
+    A = [[0.0] * 11 for _ in range(11)]
+    for i, j in ((2, 10), (5, 2), (7, 10), (8, 5), (8, 10), (9, 7), (10, 6)):
+        A[i][j] = 1e-300
+    for i, j in ((4, 8), (5, 8), (6, 4)):
+        A[i][j] = 1e150
+    for i, j in ((4, 6), (9, 8), (10, 10)):
+        A[i][j] = 1.0
+    A[10][9] = -1.0
+    return A
+
+
+# documents that broke the contract on every kernel; the seeded search
+# below found them only under OPENBLAS_CORETYPE=Prescott
+HOSTILE_DSTABLE_EXAMPLES = [
+    # the float determinant overflowed, with a RuntimeWarning on stderr
+    {"matrix": [[0.0, 1e300], [1e150, 0.0]]},
+    {"matrix": _eigen_failure_11x11()},
+]
+
+
+def _check_exit_contract(doc, code, out, err, caught) -> None:
     assert code in (0, 1, 2, 65), doc
     assert caught == [] and "Traceback" not in err and "Warning" not in err, doc
     if code == 65:
         assert out == "" and len(err.splitlines()) == 1, doc
     else:
         assert json.loads(out)["verdict"] == {0: "stable", 1: "unstable", 2: "unknown"}[code]
+
+
+@seed(25)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_HOSTILE_DSTABLE)
+@example(doc=HOSTILE_DSTABLE_EXAMPLES[0])
+@example(doc=HOSTILE_DSTABLE_EXAMPLES[1])
+def test_hostile_dstable_documents_keep_the_exit_contract(capsys, tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("hostile") / "in.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught, np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, "dstable", "--in", str(path))
+    _check_exit_contract(doc, code, out, err, [str(w.message) for w in caught])
+
+
+_HOSTILE_CHILD = """
+import contextlib, io, json, sys, warnings
+import numpy as np
+from logmeasure.cli import main
+runs = []
+for path in sys.argv[1:]:
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["dstable", "--in", path])
+    runs.append([code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]])
+print(json.dumps(runs))
+"""
+
+
+@pytest.mark.skipif(
+    not _dynamic_arch_openblas(), reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so no kernel can be chosen"
+)
+def test_hostile_examples_keep_the_exit_contract_on_every_openblas_kernel(tmp_path):
+    paths = [_write_doc(tmp_path, doc, f"hostile{k}.json") for k, doc in enumerate(HOSTILE_DSTABLE_EXAMPLES)]
+    src = str(Path(logmeasure.__file__).resolve().parents[1])
+    children = {
+        kernel: subprocess.Popen(
+            [sys.executable, "-c", _HOSTILE_CHILD, *paths],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": kernel},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for kernel in OPENBLAS_KERNELS
+    }
+    for kernel, child in children.items():
+        out, err = child.communicate(timeout=300)
+        assert child.returncode == 0 and err == "", (kernel, err)
+        for doc, run in zip(HOSTILE_DSTABLE_EXAMPLES, json.loads(out)):
+            _check_exit_contract((kernel, doc), *run)
 
 
 # ---------------------------------------------------------------- seeds

@@ -38,7 +38,7 @@ from logmeasure import (
     spectral_abscissa,
     validate_norm_spec,
 )
-from logmeasure.norms import _lp_eval_many, _orthant_index, _pattern_indices
+from logmeasure.norms import _lp_eval_many
 from test_kernels import MATRICES, NORMS
 
 # ------------------------------------------------------------------ simulate
@@ -234,12 +234,13 @@ def reference_evaluate_many(spec, X):
         return reference_evaluate_many(spec.inner, X @ np.asarray(spec.T, dtype=float).T)
     if isinstance(spec, Polyhedral):
         return validate_norm_spec(spec)._polytope.gauge_many(X)
+    # each row takes the case of its sign pattern, zero coordinates read '+'
     out = np.empty(X.shape[0])
-    idx = _pattern_indices(X)
-    cases = {_orthant_index(signs): inner for signs, inner in spec.cases.items()}
-    for key in np.unique(idx):
-        mask = idx == key
-        out[mask] = reference_evaluate_many(cases[key], X[mask])
+    patterns = np.array(["".join(row) for row in np.where(X < 0, "-", "+")])
+    for signs, inner in spec.cases.items():
+        mask = patterns == signs
+        if mask.any():
+            out[mask] = reference_evaluate_many(inner, X[mask])
     return out
 
 

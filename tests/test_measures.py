@@ -266,15 +266,16 @@ def test_piecewise_residue_is_exact_or_refused():
     # is rebuilt, so the measure is exact
     cases = {"".join(s): Lp(1.0) for s in itertools.product("+-", repeat=4)}
     norm = validate_norm_spec(PiecewiseOrthant(cases))
-    assert norm.route == "polyhedral" and norm._case_table is None
+    assert norm.route == "polyhedral"
     rm = matrix_measure(np.diag([0.5, -1.0, 2.0, -3.0]), norm)
     assert (rm.value, rm.method) == (2.0, "exact_polyhedral")
-    # a non-polytopal piece leaves no exact route and no certified estimate
-    disc = validate_norm_spec(PiecewiseOrthant({"++": Lp(2.0), "--": Lp(2.0), "+-": Lp(1.0), "-+": Lp(1.0)}))
-    assert disc.route == "estimated" and disc._case_table is not None
-    for fn in (matrix_measure, induced_matrix_norm, estimate_induced_norm):
+    # a non-polytopal piece leaves no exact route, so validation refuses it
+    with pytest.raises(NoExactPath):
+        validate_norm_spec(PiecewiseOrthant({"++": Lp(2.0), "--": Lp(2.0), "+-": Lp(1.0), "-+": Lp(1.0)}))
+    # and the estimates cover l_p cores only
+    for spec in (Lp(2.0), hexagon_spec()):
         with pytest.raises(NoExactPath):
-            fn(np.eye(2), disc)
+            estimate_induced_norm(np.eye(2), validate_norm_spec(spec, dim=2))
 
 
 def test_estimated_route_is_seed_deterministic():
@@ -510,14 +511,12 @@ def test_lp_bracket_needs_no_scipy_optimize():
         "        lm.matrix_measure(A, norm), lm.induced_matrix_norm(A, norm)\n"
         "        lm.estimate_induced_norm(A, norm)\n"
         "cases = {s: lm.Lp(2.0 if s in ('++', '--') else 1.0) for s in ('++', '--', '+-', '-+')}\n"
-        "residue = lm.validate_norm_spec(lm.PiecewiseOrthant(cases))\n"
-        "for fn in (lm.matrix_measure, lm.induced_matrix_norm, lm.estimate_induced_norm):\n"
-        "    try:\n"
-        "        fn(np.eye(2), residue)\n"
-        "    except lm.NoExactPath:\n"
-        "        pass\n"
-        "    else:\n"
-        "        raise SystemExit(f'{fn.__name__} did not refuse the residue norm')\n"
+        "try:\n"
+        "    lm.validate_norm_spec(lm.PiecewiseOrthant(cases))\n"
+        "except lm.NoExactPath:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('validation did not refuse the residue norm')\n"
         "print('scipy.optimize' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": src}

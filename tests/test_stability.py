@@ -217,6 +217,32 @@ def test_report_marginal_matrix():
     assert rep.note is not None and "marginal" in rep.note
 
 
+def test_exact_2x2_reads_the_rational_determinant():
+    # a_12 a_21 = 1 - 2^-60 rounds to 1 in floats, so the float det is 0,
+    # but the exact det is 2^-60 > 0: the matrix is additively D-stable
+    A = np.array([[-1.0, 1.0 + 2.0**-30], [1.0 - 2.0**-30, -1.0]])
+    assert additive_d_stable_2x2(A)
+    rep = additive_d_stability_report(A, seed=0)
+    assert (rep.verdict, rep.method) == ("stable", "exact_2x2")
+    # a_12 a_21 overflows to -inf in floats; its sign still decides
+    with np.errstate(over="raise", invalid="raise"):
+        assert not additive_d_stable_2x2(np.array([[0.0, 1e300], [1e150, 0.0]]))
+        assert additive_d_stable_2x2(np.array([[-1.0, 1e300], [-1e300, -1.0]]))
+
+
+def test_2x2_destabilizer_shift_is_finite_or_named():
+    with np.errstate(over="raise", invalid="raise"):
+        # det(A - diag(0, t)) = 2 - t changes sign at t = 2; the shift is t = 4
+        rep = additive_d_stability_report(np.array([[1.0, 2.0], [-3.0, -4.0]]), seed=0)
+        assert rep.verdict == "unstable" and rep.note is None
+        assert np.array_equal(rep.counterexample.D, np.diag([0.0, 4.0]))
+        assert rep.counterexample.abscissa > 0.0
+        # here the shift would have to exceed det / a_11 = 1e900
+        rep = additive_d_stability_report(np.array([[1e-300, 1e300], [-1e300, -1.0]]), seed=0)
+    assert rep.verdict == "unstable" and "overflows" in rep.note
+    assert np.array_equal(rep.counterexample.D, np.zeros((2, 2)))
+
+
 # -------------------------------------------------------------- metzler path
 
 
