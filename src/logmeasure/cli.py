@@ -212,7 +212,7 @@ def _np_default(obj):
 
 
 def _dump_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, default=_np_default) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, default=_np_default, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------- measure

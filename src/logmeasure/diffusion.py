@@ -88,24 +88,27 @@ def build_coupled(A, D) -> CoupledSystem:
     if np.any(d < 0.0):
         raise NotNonnegativeDiagonal("diffusion gains must be >= 0")
     Dm = np.diag(d)
-    block = _assemble(A, Dm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = _assemble(A, Dm)
+        target = (A, 0.0, 0.0, block[n:, n:] - Dm)  # non-finite if the block is
+    if not np.all(np.isfinite(target[3])):
+        raise ValueError("the coupled block [[A-D, D], [D, A-D]] or A - 2D overflows")
 
     # T block T^-1 with T = [[I, I], [-I, I]], T^-1 = (1/2) [[I, -I], [I, I]],
     # one n x n block at a time: the rows of T block are [c + f, e + g] and
-    # [f - c, g - e]
+    # [f - c, g - e]; halving before adding keeps the sums finite
     c, e, f, g = block[:n, :n], block[:n, n:], block[n:, :n], block[n:, n:]
     upper, lower = (c + f, e + g), (f - c, g - e)
     decoupled = (
-        0.5 * (upper[0] + upper[1]),
-        0.5 * (upper[1] - upper[0]),
-        0.5 * (lower[0] + lower[1]),
-        0.5 * (lower[1] - lower[0]),
+        0.5 * upper[0] + 0.5 * upper[1],
+        0.5 * upper[1] - 0.5 * upper[0],
+        0.5 * lower[0] + 0.5 * lower[1],
+        0.5 * lower[1] - 0.5 * lower[0],
     )
-    target = (A, 0.0, 0.0, A - 2.0 * Dm)
     err = max(np.max(np.abs(got - want)) for got, want in zip(decoupled, target))
     # a right block misses diag(A, A - 2D) by rounding only: at most
     # 1.5 eps (max|a_ij| + max d) in any entry
-    if err > 4.0 * np.finfo(float).eps * (np.max(np.abs(A)) + np.max(d)):
+    if err > 4.0 * np.finfo(float).eps * np.max(np.abs(A)) + 4.0 * np.finfo(float).eps * np.max(d):
         raise InconsistentOracles("coupled block failed the decoupling similarity check")
     return CoupledSystem(A, Dm, block)
 

@@ -72,8 +72,8 @@ class MeasureResult:
     h_used: float | None = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError(f"non-finite result value {self.value}")
+        if not (math.isfinite(self.value) and math.isfinite(self.error_bound)):
+            raise ValueError(f"non-finite result: value {self.value}, error_bound {self.error_bound}")
         if self.error_bound < 0:
             raise ValueError("error_bound must be nonnegative")
         if (self.error_bound == 0) != (self.method != "estimated"):
@@ -92,8 +92,10 @@ _CLOSED_METHODS = {"closed": "closed_form", "scaled_closed": "scaled_closed_form
 
 
 def _core_frame(S: np.ndarray, norm: ValidatedNorm) -> np.ndarray:
-    """S in the coordinates of the norm's l_1 / l_2 / l_inf core."""
-    return S if norm.flat_T is None else norm.flat_T @ S @ norm.flat_Tinv
+    """S in the coordinates of the norm's l_p core; an overflow gives a
+    non-finite entry, which the caller reports, and no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return S if norm.flat_T is None else norm.flat_T @ S @ norm.flat_Tinv
 
 
 # The two kernels below take one matrix, or a (k, n, n) stack, under a norm
@@ -360,7 +362,10 @@ def _lp_bracket(M: np.ndarray, p: float, quantity: str, seed) -> MeasureResult:
     pad = 4 * (n + 8) * _EPS * scale
     qpad = pad if quantity == "norm" else (p + 1) * pad
     gap = BRACKET_GAP * scale
-    upper = _riesz_thorin(M, p, quantity)
+    with np.errstate(over="ignore", invalid="ignore"):
+        upper = _riesz_thorin(M, p, quantity)
+    if not math.isfinite(upper):
+        raise ValueError(f"the Riesz-Thorin cap of this matrix is {upper}; the l_p bracket needs it finite")
     if quantity == "norm":
         lower = max(0.0, float(_lp_eval_many(p, M.T).max()) - qpad)
     else:

@@ -26,9 +26,9 @@ All functions are pure, and a ValidatedNorm is never mutated after
 validation: the unit-ball vertices of a closed-form norm are derived on
 demand by ``unit_ball_vertices``, so instances can be shared freely.
 
-scipy.spatial (Qhull and the KD-tree) is imported only where hulls are
-built for n >= 3: balls in one and two dimensions are built in numpy, so
-importing the package, or working with planar norms, does not load it.
+Every ball is built in numpy: the end points in one dimension, the
+monotone chain in two, and above one double description, which also cuts
+balls to orthants and is capped by MAX_DD_ENTRIES.
 """
 
 from __future__ import annotations
@@ -58,10 +58,19 @@ from .errors import (
 MAX_SIGN_ENUM_DIM = 16
 
 # PiecewiseOrthant needs one case per orthant, 2**n of them, and is
-# refused above this cap: rebuilding the glued ball from all-l_inf pieces
-# (2**n facets each) takes about 0.14 s at n = 5 and 1.3 s at n = 6 on a
+# refused above this cap: rebuilding the glued ball from all-l_1 pieces
+# (2**n facets each) takes about 0.26 s at n = 5 and 1.1 s at n = 6 on a
 # 2-core x86 host.
 MAX_PIECEWISE_VERTEX_DIM = 5
+
+# A double description is refused once its rays times its constraints would
+# pass this: the 9-D cube peaks at 377 rays of 513 constraints, the 15-D
+# cross-polytope at 2**15 rays of 31; the 16-D one is refused.
+MAX_DD_ENTRIES = 1 << 21
+# its zero test and rank floor, on rows and rays of max-norm in [1/2, 1),
+# and the entries of one batch of its pair tests
+_DD_TOL, _DD_BATCH = 1e-9, 1 << 18
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,50 +106,34 @@ NormSpec = Union[Lp, Scaled, Polyhedral, PiecewiseOrthant]
 
 
 def _near_pairs(P: np.ndarray, Q: np.ndarray, tol: float) -> np.ndarray:
-    """Every (i, j) with max_k |P[i, k] - Q[j, k]| <= tol, for points in R^1
-    or R^2, as a (pairs, 2) array: the pairs cKDTree finds, in numpy.
+    """Every (i, j) with max_k |P[i, k] - Q[j, k]| <= tol, in order of i.
 
-    Points are binned in a grid of side 2 tol, so a pair within tol lies in
-    neighbouring cells however X / (2 tol) rounds, and each row of P is
-    compared only with the rows of Q in the 3^n cells around its own: the
-    work grows with the pairs found plus the rows, not with their product.
-    Cell indices are clipped to 2**52, where a cell and its neighbours are
-    still exact floats; the clipped cells (|x| >= 2**53 tol) merge only
-    points farther than tol apart in that coordinate, which costs
-    candidates, not pairs.
+    Rows are keyed by x . w, w_k = 5^-(k+1): |w|_1 < 1/4 keeps keys finite,
+    and a pair within tol has keys within tol/4 plus the rounding of both
+    sums, (n + 1) eps (|p|_inf + tol) / 4 each. Row p meets only the rows
+    with keys that close, found by binary search; cubes and cross-polytopes
+    have keys far apart in base 5, so the work is not quadratic on them.
     """
     n = Q.shape[1]
-
-    def cells(X):
-        with np.errstate(over="ignore"):
-            C = np.floor(np.clip(X / (2.0 * tol), -(2.0**52), 2.0**52))
-        # a complex key sorts and searches lexicographically, as (x, y)
-        return C[:, 0] + 1j * C[:, -1] if n == 2 else C[:, 0] + 0j
-
-    keys = cells(Q)
+    w = 5.0 ** -np.arange(1.0, n + 1.0)
+    keys = Q @ w
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    steps = (-1.0, 0.0, 1.0)
-    offsets = np.array([complex(dx, dy) for dx in steps for dy in (steps if n == 2 else (0.0,))])
-    target = (cells(P)[:, None] + offsets).ravel()
-    lo = np.searchsorted(sorted_keys, target, "left")
-    count = np.searchsorted(sorted_keys, target, "right") - lo
-    i = np.repeat(np.arange(target.size) // offsets.size, count)
-    # the candidates of a target are the run sorted_keys[lo : lo + count]
+    reach = tol + 4 * (n + 1) * _EPS * (np.abs(P).max(axis=1) + tol)
+    lo = np.searchsorted(sorted_keys, P @ w - reach, "left")
+    count = np.searchsorted(sorted_keys, P @ w + reach, "right") - lo
+    i = np.repeat(np.arange(P.shape[0]), count)
+    # the candidates of row i are the run sorted_keys[lo : lo + count]
     j = order[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(i.size)]
-    near = np.abs(P[i] - Q[j]).max(axis=1) <= tol
+    with np.errstate(over="ignore"):
+        near = np.abs(P[i] - Q[j]).max(axis=1) <= tol
     return np.column_stack([i[near], j[near]])
 
 
 def _dedup_rows(V: np.ndarray, tol: float) -> np.ndarray:
     """V without each row lying within tol (max-norm) of an earlier kept row."""
-    if V.shape[1] <= 2:
-        pairs = _near_pairs(V, V, tol)
-        pairs = pairs[pairs[:, 0] < pairs[:, 1]]
-    else:
-        from scipy.spatial import cKDTree
-
-        pairs = cKDTree(V).query_pairs(tol, p=np.inf, output_type="ndarray")
+    pairs = _near_pairs(V, V, tol)
+    pairs = pairs[pairs[:, 0] < pairs[:, 1]]
     keep = np.ones(V.shape[0], dtype=bool)
     # pairs come as i < j; walked in order of j, keep[i] is settled before
     # any pair (i, j) is read, as in a keep-first scan
@@ -152,28 +145,85 @@ def _dedup_rows(V: np.ndarray, tol: float) -> np.ndarray:
 
 def _check_symmetric(V: np.ndarray, tol: float) -> None:
     """Raise unless every row has an antipode within tol (max-norm)."""
-    if V.shape[1] <= 2:
-        missing = np.ones(V.shape[0], dtype=bool)
-        missing[_near_pairs(-V, V, tol)[:, 0]] = False
-    else:
-        from scipy.spatial import cKDTree
-
-        dist, _ = cKDTree(V).query(-V, p=np.inf)
-        missing = dist > tol
+    missing = np.ones(V.shape[0], dtype=bool)
+    missing[_near_pairs(-V, V, tol)[:, 0]] = False
     if np.any(missing):
         v = V[int(np.argmax(missing))]
         raise NotCentrallySymmetric(f"vertex {v.tolist()} has no antipode in the set")
 
 
-def _qhull_reason(exc: Exception) -> str:
-    """The first line of a QhullError, which goes on to dump Qhull's options
-    and state over dozens of lines."""
-    return str(exc).strip().partition("\n")[0]
+def _extreme_rays(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The extreme rays of the pointed cone {x : A x >= 0}, as rows, and
+    their zero sets: zero[r, i] iff row i of A vanishes at ray r.
+
+    The double description method (Motzkin et al. 1953; Fukuda and Prodon
+    1996): the simplicial cone of d rows picked by pivoted Gram-Schmidt, cut
+    by each other row in turn. Rays where it is negative go; each adjacent
+    pair of a positive and a negative ray gives one on its hyperplane, zero
+    on the pair's common rows and that one. Columns, rows and rays are
+    scaled by powers of two to max-norm [1/2, 1), so the zero test is
+    relative to the data's scale. Raises DegenerateBall if A has rank below
+    d, UnsupportedDimension once rays times rows would pass MAX_DD_ENTRIES.
+    """
+    m, d = A.shape
+    scale = _pow2(np.abs(A).max(axis=0))
+    A = A * scale
+    A = A * _pow2(np.abs(A).max(axis=1))[:, None]
+    W, basis = A.copy(), []
+    for _ in range(d):
+        r = np.linalg.norm(W, axis=1)
+        basis.append(int(np.argmax(r)))
+        if r[basis[-1]] <= _DD_TOL:
+            raise DegenerateBall("vertex set does not span a full-dimensional ball")
+        W -= np.outer(W @ W[basis[-1]], W[basis[-1]] / r[basis[-1]] ** 2)
+    order = np.concatenate([basis, np.setdiff1d(np.arange(m), basis)])
+    A = A[order]
+    R = np.linalg.inv(A[:d]).T
+    R *= _pow2(np.abs(R).max(axis=1))[:, None]
+    Z = np.hstack([~np.eye(d, dtype=bool), np.zeros((d, m - d), dtype=bool)])
+    for i in range(d, m):
+        s = R @ A[i]
+        neg = s < -_DD_TOL
+        Z[~neg & (s <= _DD_TOL), i] = True
+        if neg.any():
+            a, b = _adjacent_pairs(A, Z, i, np.flatnonzero(s > _DD_TOL), np.flatnonzero(neg))
+            new = s[a, None] * R[b] - s[b, None] * R[a]
+            R = np.vstack([R[~neg], new * _pow2(np.abs(new).max(axis=1))[:, None]])
+            Z = np.vstack([Z[~neg], Z[a] & Z[b] | (np.arange(m) == i)])
+    # entries below the zero test are the start's rounding: exact rays stay exact
+    return np.where(np.abs(R) <= _DD_TOL, 0.0, R) * scale, Z[:, np.argsort(order)]
 
 
-def _canonical_row_order(V: np.ndarray) -> np.ndarray:
-    order = np.lexsort(V.T[::-1])
-    return V[order]
+def _pow2(x: np.ndarray) -> np.ndarray:
+    """The powers of two that scale each x > 0 into [1/2, 1), exactly."""
+    return np.ldexp(1.0, -np.frexp(x)[1])
+
+
+def _adjacent_pairs(A, Z, i, pos, neg):
+    """The pairs (pos[k], neg[k]) of rays adjacent in the cone of rows A[:i]:
+    at least d - 2 common zero rows, by one product, and of rank d - 2."""
+    d, width, held = A.shape[1], Z.shape[1], Z.shape[0] - neg.size
+    A, Z = A[:i], Z[:, :i]
+    zn = Z[neg].T.astype(np.float32)
+    step = max(1, _DD_BATCH // neg.size)
+    found = [(pos[:0], neg[:0])]
+    for lo in range(0, pos.size, step):
+        a, b = np.nonzero(Z[pos[lo : lo + step]].astype(np.float32) @ zn >= d - 2)
+        a, b = pos[lo + a], neg[b]
+        common = Z[a] & Z[b]
+        count = common.sum(axis=1)
+        ok = np.zeros(a.size, dtype=bool)
+        for c in np.unique(count):
+            sel = np.flatnonzero(count == c)
+            for part in np.array_split(sel, -(-sel.size * c * d // _DD_BATCH)):
+                rows = np.nonzero(common[part])[1].reshape(part.size, c)
+                ok[part] = np.linalg.svd(A[rows], compute_uv=False)[:, d - 3] > _DD_TOL
+        found.append((a[ok], b[ok]))
+        held += int(ok.sum())
+        if held * width > MAX_DD_ENTRIES:
+            raise UnsupportedDimension(f"the double description of this ball passes {held} rays of {width} "
+                                       f"constraints; capped at 2**{MAX_DD_ENTRIES.bit_length() - 1} entries")
+    return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
 class _Polytope:
@@ -182,8 +232,8 @@ class _Polytope:
     vertices holds the extreme points in canonical row order and normals
     the facet normals scaled so that |x| = max_F n_F . x. The incidence
     pairs (pair_vertex[p], pair_facet[p]) list each vertex v with each
-    facet F it lies on, read off Qhull's combinatorics or the 2-D chain, so
-    no activity tolerance is involved. Then
+    facet F it lies on, read off the double description's zero sets or the
+    2-D chain, so no activity test is made after the build. Then
 
         ||A||  = max over v, F of n_F . (A v),
         mu(A)  = max over pairs (v, F) of n_F . (A v),
@@ -203,7 +253,7 @@ class _Polytope:
     @classmethod
     def hull_of(cls, P: np.ndarray) -> "_Polytope":
         """The polytope conv(P): the end points in 1-D, the monotone chain
-        in 2-D, one Qhull call above."""
+        in 2-D, one double description above."""
         n = P.shape[1]
         if n == 1:
             V = np.array([[P[:, 0].min()], [P[:, 0].max()]])
@@ -211,41 +261,20 @@ class _Polytope:
             return cls(V, 1.0 / V, np.arange(2), np.arange(2))
         if n == 2:
             return cls._polygon(P)
-        from scipy.spatial import ConvexHull, QhullError
-
-        try:
-            hull = ConvexHull(P)
-        except QhullError as exc:
-            raise DegenerateBall(f"vertex set does not span a full-dimensional ball: {_qhull_reason(exc)}") from exc
-        # Qhull triangulates each facet and copies its equation to every
-        # simplex of it, so bytewise-equal rows are one facet.
-        rows = np.ascontiguousarray(hull.equations).view(np.dtype((np.void, 8 * (n + 1))))
-        _, first, facet_of = np.unique(rows.ravel(), return_index=True, return_inverse=True)
-        eq = hull.equations[first]
-        offsets = -eq[:, -1]
-        if np.any(offsets <= 0):
+        # facets n_F = y / t are the rays of {(y, t) : t - v . y >= 0, t >= 0},
+        # in canonical order so that the run does not depend on the input's
+        P = P[np.lexsort(P.T[::-1])]
+        m = P.shape[0]
+        R, zero = _extreme_rays(np.vstack([np.column_stack([-P, np.ones(m)]), np.eye(n + 1)[n]]))
+        if zero[:, m].any():
             raise DegenerateBall("origin is not interior to the ball")
-        # every vertex of a simplex lies on that simplex's facet; the pair
-        # (vertex v, facet F) is keyed F * m + v
-        ext = np.unique(hull.vertices)
-        vertex = np.searchsorted(ext, hull.simplices).ravel()
-        keys = np.unique(np.repeat(facet_of.ravel(), n) * ext.size + vertex)
-        pair_facet, pair_vertex = np.divmod(keys, ext.size)
-        # Qhull also lists boundary points that are not extreme; a point is
-        # extreme exactly when the normals of its facets span R^n
-        degree = np.bincount(pair_vertex, minlength=ext.size)
-        by_vertex = np.argsort(pair_vertex, kind="stable")
-        first_pair = np.cumsum(degree) - degree
-        extreme = np.zeros(ext.size, dtype=bool)
-        for k in np.unique(degree[degree >= n]):
-            vs = np.flatnonzero(degree == k)
-            incident = pair_facet[by_vertex[first_pair[vs][:, None] + np.arange(k)]]
-            extreme[vs] = np.linalg.matrix_rank(eq[incident, :-1]) == n
+        normals = R[:, :n] / R[:, n:]
+        pair_facet, pair_vertex = np.nonzero(zero[:, :m])
+        # a point is extreme exactly when the normals of its facets span R^n
+        extreme = np.linalg.matrix_rank(zero[:, :m].T[:, :, None] * normals) == n
         keep = extreme[pair_vertex]
         row_of = np.cumsum(extreme) - 1
-        return cls._sorted(
-            P[ext[extreme]], eq[:, :-1] / offsets[:, None], row_of[pair_vertex[keep]], pair_facet[keep]
-        )
+        return cls(P[extreme], normals, row_of[pair_vertex[keep]], pair_facet[keep])
 
     @classmethod
     def _polygon(cls, P: np.ndarray) -> "_Polytope":
@@ -443,7 +472,10 @@ def unit_ball_vertices(norm: ValidatedNorm) -> np.ndarray:
     if norm.dim is None:
         raise DimensionMismatch("lp spec has no bound dimension; validate with dim=...")
     V = _lp_ball_vertices(norm.core_p, norm.dim)
-    return V if norm.flat_T is None else _canonical_row_order(V @ norm.flat_Tinv.T)
+    if norm.flat_T is None:
+        return V
+    V = V @ norm.flat_Tinv.T
+    return V[np.lexsort(V.T[::-1])]
 
 
 # -- validation -------------------------------------------------------
@@ -458,7 +490,8 @@ def _validate_lp(spec: Lp, dim: int | None) -> ValidatedNorm:
         raise ValidationError(f"lp norms need p >= 1, got {p}")
     if dim is not None and dim < 1:
         raise ValidationError("dimension must be >= 1")
-    return ValidatedNorm(spec, dim, "lp", core_p=p)
+    # every norm on R^1 is a multiple of |x|, so there l_p is l_1
+    return ValidatedNorm(spec, dim, "lp", core_p=1.0 if dim == 1 else p)
 
 
 def _validate_scaled(spec: Scaled, dim: int | None) -> ValidatedNorm:
@@ -508,32 +541,22 @@ def _orthant_points(norm: ValidatedNorm, sigma: np.ndarray) -> np.ndarray:
     whose unit ball B is a polytope and the closed orthant Q_sigma.
 
     In the plane they are B's vertices in the quadrant and its two axis
-    points sigma_i e_i / |sigma_i e_i|. Above, they come from one halfspace
-    intersection of B's facets with the orthant. Qhull names the halfspaces
-    each point lies on, so a point on the plane x_i = 0 gets x_i = 0
-    exactly, and the origin, the one point on all n planes, is left out.
+    points sigma_i e_i / |sigma_i e_i|. Above, they are the rays (x, t) of
+    the cone {t - n_F . x >= 0, sigma_i x_i >= 0, t >= 0}, one double
+    description over B's facets. Its zero sets name the planes each point
+    lies on, so a point on the plane x_i = 0 gets x_i = 0 exactly, and the
+    origin, the one point on all n planes, is left out.
     """
     n = sigma.size
     if n <= 2:
         V = unit_ball_vertices(norm)
         axes = np.diag(sigma)
         return np.vstack([V[np.all(V * sigma >= 0.0, axis=1)], axes / norm.evaluate_many(axes)[:, None]])
-    from scipy.spatial import HalfspaceIntersection, QhullError
-
     ball = norm._polytope if norm._polytope is not None else _Polytope.hull_of(unit_ball_vertices(norm))
     m = ball.normals.shape[0]
-    H = np.zeros((m + n, n + 1))
-    H[:m, :n], H[:m, n] = ball.normals, -1.0
-    H[m:, :n] = -np.diag(sigma)
-    x0 = sigma * (0.5 / float(norm.evaluate_many(sigma[None, :])[0]))
-    try:
-        hs = HalfspaceIntersection(H, x0)
-    except QhullError as exc:
-        raise DegenerateBall(f"the ball's cut to the orthant {sigma.tolist()} is degenerate: {_qhull_reason(exc)}") from exc
-    on_plane = np.zeros((len(hs.dual_facets), n), dtype=bool)
-    for k, facets in enumerate(hs.dual_facets):
-        on_plane[k, [f - m for f in facets if f >= m]] = True
-    return np.where(on_plane, 0.0, hs.intersections)[~on_plane.all(axis=1)]
+    R, zero = _extreme_rays(np.vstack([np.column_stack([-ball.normals, np.ones(m)]), np.diag(np.append(sigma, 1.0))]))
+    on_plane = zero[:, m : m + n]
+    return np.where(on_plane, 0.0, R[:, :n] / R[:, n:])[~on_plane.all(axis=1)]
 
 
 def _sign_vector(signs: str) -> np.ndarray:

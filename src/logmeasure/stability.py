@@ -433,8 +433,9 @@ def falsify_on_grid(
     return None
 
 
-def _destabilizer_2x2(A: np.ndarray) -> tuple[np.ndarray, str | None]:
-    """Constructive counterexample for a 2x2 matrix failing the exact test."""
+def _destabilizer_2x2(A: np.ndarray) -> tuple[np.ndarray | None, str | None]:
+    """Constructive counterexample for a 2x2 matrix failing the exact test,
+    or None with a note when no float D gives a positive abscissa."""
     s0 = spectral_abscissa(A)
     if s0 > FALSIFY_THRESHOLD:
         return np.zeros((2, 2)), None
@@ -450,11 +451,11 @@ def _destabilizer_2x2(A: np.ndarray) -> tuple[np.ndarray, str | None]:
                 D[1 - i, 1 - i] = float(t)
                 return D, None
     if A[0, 0] > 0 or A[1, 1] > 0:
-        return np.zeros((2, 2)), (
+        return None, (
             "a positive diagonal entry makes A unstable once the other diagonal "
             "entry is shifted far enough, but that shift overflows floating point"
         )
-    return np.zeros((2, 2)), (
+    return None, (
         "marginal case: A is not Hurwitz at D=0, but no nonnegative diagonal "
         "shift produces a strictly positive abscissa"
     )
@@ -628,10 +629,8 @@ def additive_d_stability_report(
                 )
             return DStabilityReport("stable", "exact_2x2", note=note)
         D, note = _destabilizer_2x2(A)
-        s = spectral_abscissa(A - D)
-        return DStabilityReport(
-            "unstable", "exact_2x2", counterexample=Counterexample(D, s), note=note
-        )
+        found = None if D is None else Counterexample(D, spectral_abscissa(A - D))
+        return DStabilityReport("unstable", "exact_2x2", counterexample=found, note=note)
 
     off = A[~np.eye(n, dtype=bool)]
     if np.all(off >= 0.0):

@@ -15,7 +15,8 @@ from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 import logmeasure
-from logmeasure.cli import main
+from logmeasure.cli import _dump_json, main
+from logmeasure.norms import Lp, norm_spec_to_json, validate_norm_spec
 from logmeasure.stability import DStabilityReport
 from test_golden import OPENBLAS_KERNELS, _dynamic_arch_openblas
 
@@ -371,12 +372,12 @@ def test_piecewise_norm_without_exact_route_is_refused(capsys, tmp_path):
         assert len(err.splitlines()) == 1 and "NoExactPath" in err and "Traceback" not in err
 
 
-def test_qhull_refusal_is_one_line(capsys, tmp_path):
-    # Qhull's own message runs to dozens of lines; the refusal keeps its first
+def test_flat_polytope_refusal_is_one_line(capsys, tmp_path):
+    # a flat square in R^3 spans no full-dimensional ball
     doc = {"norm": {"kind": "polyhedral", "vertices": [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]]}}
     code, out, err = _run(capsys, "classify", "--in", _write_doc(tmp_path, doc))
     assert (code, out) == (65, "")
-    assert len(err.splitlines()) == 1 and "DegenerateBall" in err and "Qhull" in err
+    assert len(err.splitlines()) == 1 and "DegenerateBall" in err and "full-dimensional" in err
 
 
 def test_huge_p_measure_brackets_the_linf_value(capsys, tmp_path):
@@ -422,6 +423,45 @@ def test_planar_examples_load_no_scipy():
     assert "scipy.spatial" not in done.stdout
 
 
+def test_polytopes_above_the_plane_load_no_scipy(tmp_path):
+    # hulls, orthant cuts and vertex matching above 2-D are numpy too
+    src = str(Path(logmeasure.__file__).resolve().parents[1])
+    cube = [[x, y, z] for x in (1, -1) for y in (1, -1) for z in (1, -1)]
+    signs = [a + b + c for a in "+-" for b in "+-" for c in "+-"]
+    docs = {
+        "polyhedral": {"kind": "polyhedral", "vertices": cube + [[0.5, 0.5, 1], [-0.5, -0.5, -1]]},
+        "piecewise": {"kind": "piecewise_orthant", "cases": [
+            {"signs": s, "inner": {"kind": "lp", "p": 1}} for s in signs]},
+    }
+    paths = [_write_doc(tmp_path, {"norm": norm}, f"{name}.json") for name, norm in docs.items()]
+    probe = (
+        "import contextlib, io, sys\n"
+        "from logmeasure.cli import main\n"
+        "for path in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(['classify', '--in', path]) == 0, path\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", probe, *paths], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_one_dimensional_lp_norms_are_closed(capsys, tmp_path):
+    # every norm on R^1 is a multiple of |x|: l_3 used to be "estimated"
+    for norm, method in (({"kind": "lp", "p": 3}, "closed_form"),
+                         ({"kind": "scaled", "T": [[3]], "inner": {"kind": "lp", "p": 3}}, "scaled_closed_form")):
+        code, out, err = _run(capsys, "measure", "--in", _write_doc(tmp_path, {"matrix": [[2.0]], "norm": norm}))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"error_bound": 0.0, "method": method, "op": "measure", "value": 2.0}
+    assert norm_spec_to_json(validate_norm_spec(Lp(3.0), dim=1)) == {"kind": "lp", "p": 3.0}
+
+
+def test_json_output_is_strict():
+    with pytest.raises(ValueError):
+        _dump_json({"error_bound": math.inf})
+
+
 HUGE_INPUTS = {
     # the planar hull's cross products overflow: a one-line refusal
     "polygon_1e308": ("measure", {"matrix": [[1, 0], [0, 1]], "norm": {
@@ -435,6 +475,21 @@ HUGE_INPUTS = {
         "kind": "polyhedral", "vertices": [[2, 2], [-2, -2], [1, -1], [-1, 1]]}}, 65),
     "diffusion_1e308": ("diffusion", {"matrix": [[1, -3], [1, -2]], "D": [1, 1], "x0": [1e308, 0],
                                       "z0": [-1e308, 1], "horizon": 1, "dt": 0.01}, 65),
+    # the decoupling check's half-sums used to overflow: exit 70
+    "diffusion_coupled_overflow": ("diffusion", {
+        "matrix": [[1e300, -3, 1e-9], [-1e150, 1, -3], [1, 1e-9, 1e308]], "D": [1e150, 1e300, 1e-300],
+        "x0": [-1, 0.5, 1e-9], "z0": [-1e300, 2, -1e-9], "horizon": 1, "dt": 0.01}, 65),
+    # A - D overflows: the coupled block itself is refused
+    "diffusion_block_overflow": ("diffusion", {"matrix": [[-1e308]], "D": [1e308], "x0": [1], "z0": [0],
+                                               "horizon": 1, "dt": 0.01}, 65),
+    # the Riesz-Thorin cap overflowed: warnings, exit 0 and "error_bound": NaN
+    "lp3_riesz_thorin_overflow": ("measure", {"matrix": [[1e308, 0], [0, 1]], "norm": {"kind": "lp", "p": 3}}, 65),
+    "scaled_lp3_overflow": ("measure", {"matrix": [[1e308, 0], [0, 1]], "norm": {
+        "kind": "scaled", "T": [[2, 0], [0, 1]], "inner": {"kind": "lp", "p": 3}}}, 65),
+    # one-dimensional, so closed: its l_1 formula overflows and is refused
+    # (it used to print overflow warnings and "error_bound": Infinity)
+    "scaled_lp3_1d": ("measure", {"matrix": [[1e308]], "norm": {
+        "kind": "scaled", "T": [[1]], "inner": {"kind": "lp", "p": 3}}}, 65),
     # sqrt(2) |x0 - z0|_inf = 1.41e308 is just under MAX_INITIAL_STATE
     "diffusion_near_bound": ("diffusion", {"matrix": [[1, -3], [1, -2]], "D": [1, 1], "x0": [5e307, 0],
                                            "z0": [-5e307, 1], "horizon": 1, "dt": 0.01}, 0),
@@ -444,9 +499,10 @@ HUGE_INPUTS = {
 @pytest.mark.parametrize("case", sorted(HUGE_INPUTS))
 def test_huge_inputs_get_a_typed_answer_and_no_warning(capsys, tmp_path, case):
     cmd, doc, expected = HUGE_INPUTS[case]
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
+    with warnings.catch_warnings(record=True) as caught, np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("always")
         code, out, err = _run(capsys, cmd, "--in", _write_doc(tmp_path, doc))
-    assert code == expected
+    assert code == expected and caught == []
     assert "Traceback" not in err and "Warning" not in err
     if code == 0:
         parsed = json.loads(out, parse_constant=lambda name: pytest.fail(f"invalid JSON constant {name}"))

@@ -3,6 +3,8 @@ one-at-a-time computations they replaced: same witnesses, same bits; and
 the deterministic falsifier against the pattern search it replaced."""
 
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from logmeasure import (
     PiecewiseOrthant,
     Polyhedral,
     Scaled,
+    UnsupportedDimension,
     builtin_battery,
     diag_norm_identity_check,
     falsify_additive_d_stability,
@@ -587,6 +590,17 @@ def _clustered_point_sets():
             jitter = tol * rng.uniform(-1.5, 1.5, (base.shape[0] * 3, n))
             V = np.repeat(base, 3, axis=0) + jitter * (rng.random((base.shape[0] * 3, 1)) < 0.7)
             yield V[rng.permutation(V.shape[0])]
+    for n in range(3, 8):
+        for _ in range(6):
+            base = rng.standard_normal((int(rng.integers(2, 15)), n)) * 10.0 ** rng.uniform(-3, 3)
+            jitter = tol * rng.uniform(-1.5, 1.5, (base.shape[0] * 3, n))
+            V = np.repeat(base, 3, axis=0) + jitter * (rng.random((base.shape[0] * 3, n)) < 0.7)
+            yield V[rng.permutation(V.shape[0])]
+        # cube and cross-polytope vertices with near-duplicates, which share
+        # coordinates in every column
+        cube = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+        for V in (cube, np.vstack([np.eye(n), -np.eye(n)])):
+            yield np.vstack([V, V + tol * rng.uniform(-1.5, 1.5, V.shape)])
 
 
 CLUSTERED = list(_clustered_point_sets())
@@ -606,14 +620,16 @@ def test_near_pairs_match_the_kd_tree(k):
     assert np.array_equal(has_antipode, dist <= TOL_VERTEX)
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", range(1, 8))
 def test_near_pairs_of_huge_points_do_not_overflow(n):
-    # the KD-tree overflows on these; the grid clips their cells
+    # the KD-tree overflows on these; the keys stay finite
     tol = TOL_VERTEX
-    V = np.array([[1e308, 0.0], [1e308, tol], [-1e308, 0.0], [0.0, 1.0]])[:, :n]
+    V = np.zeros((4, max(n, 2)))
+    V[:, :2] = [[1e308, 0.0], [1e308, tol], [-1e308, 0.0], [0.0, 1.0]]
+    V = V[:, :n]
     with np.errstate(all="raise"):
         assert _near_pairs(V, V, tol)[:, 0].tolist() == [0, 0, 1, 1, 2, 3]
-        assert np.unique(_near_pairs(-V, V, tol)[:, 0]).tolist() == ([0, 1, 2] if n == 2 else [0, 1, 2, 3])
+        assert np.unique(_near_pairs(-V, V, tol)[:, 0]).tolist() == ([0, 1, 2] if n >= 2 else [0, 1, 2, 3])
 
 
 def reference_polytope(P):
@@ -704,6 +720,120 @@ def test_planar_piecewise_ball_matches_halfspace_intersection():
             axes = np.diag([1.0 if c == "+" else -1.0 for c in signs])
             on_axes = axes / validate_norm_spec(spec, dim=2).evaluate_many(axes)[:, None]
             assert {tuple(r) for r in on_axes.tolist()} <= {tuple(r) for r in V.tolist()}
+
+
+def reference_facets(P):
+    """{the extreme points on a facet, as a frozenset of tuples: its normal}
+    from Qhull: simplices whose normals agree to 1e-9 (column by column)
+    are one facet, a point lies on a facet where |n . p - 1| <= 1e-9, and a
+    point is extreme when its facets' normals span R^n."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import ConvexHull, cKDTree
+
+    eq = ConvexHull(P).equations
+    N = eq[:, :-1] / -eq[:, -1:]
+    pairs = cKDTree(N / np.abs(N).max(axis=0)).query_pairs(1e-9, p=np.inf, output_type="ndarray")
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(len(N), len(N)))
+    count, label = connected_components(graph, directed=False)
+    N = N[[int(np.argmax(label == c)) for c in range(count)]]
+    on = np.abs(P @ N.T - 1.0) <= 1e-9
+    extreme = np.array([np.linalg.matrix_rank(N[row]) == P.shape[1] if row.any() else False for row in on])
+    return {frozenset(map(tuple, P[on[:, f] & extreme].tolist())): N[f] for f in range(count)}
+
+
+def _double_description_cases():
+    from scipy.spatial import ConvexHull
+
+    rng = np.random.default_rng(59)
+
+    def cube(n):
+        return np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+
+    def cross(n):
+        return np.vstack([np.eye(n), -np.eye(n)])
+
+    for n in range(3, 8):
+        yield f"cube{n}", cube(n)
+    for n in range(3, 10):
+        yield f"cross{n}", cross(n)
+    for n in range(3, 7):
+        for m in (n + 1, 8, 15):
+            W = rng.standard_normal((m, n))
+            yield f"random{n}_{m}", np.vstack([W, -W])
+    for n, k in ((3, 4), (3, 5), (4, 5), (4, 6), (5, 6)):
+        G = rng.standard_normal((k, n))
+        yield f"zonotope{n}_{k}", np.array(list(itertools.product((1.0, -1.0), repeat=k))) @ G
+    # points on facets: cube vertices plus facet centres and edge midpoints,
+    # and a random polytope plus points inside its facets
+    c = cube(4)
+    yield "cube4_faces", np.vstack([c, np.eye(4), -np.eye(4), c * (np.arange(4) != 0)])
+    W = rng.standard_normal((9, 4))
+    W = np.vstack([W, -W])
+    inside = W[ConvexHull(W).simplices[:12]].mean(axis=1)
+    yield "random4_faces", np.vstack([W, inside, -inside])
+    for k in (-60, 60):
+        yield f"cube5_2^{k}", cube(5) * 2.0**k
+        yield f"random4_2^{k}", W * 2.0**k
+    stretch = np.array([1.0, 1e6, 1.0, 1.0])
+    yield "cube4_stretched", cube(4) * stretch
+    yield "random4_stretched", W * stretch
+
+
+DD_CASES = dict(_double_description_cases())
+
+
+@pytest.mark.parametrize("case", sorted(DD_CASES))
+def test_double_description_matches_qhull(case):
+    P = DD_CASES[case]
+    poly = _Polytope.hull_of(P)
+    want = reference_facets(P)
+    got = {frozenset(map(tuple, poly.vertices[sorted(vs)].tolist())): n for vs, n in _facets_by_vertices(poly).items()}
+    assert got.keys() == want.keys()
+    for vs, normal in got.items():
+        assert np.abs(normal - want[vs]).max() <= 1e-8 * np.abs(want[vs]).max(), vs
+    assert {tuple(v) for v in poly.vertices.tolist()} == set().union(*want)
+
+
+def test_double_description_ignores_duplicates_within_tol():
+    rng = np.random.default_rng(61)
+    for P in (DD_CASES["cube5"], DD_CASES["random5_15"], DD_CASES["cross6"]):
+        dups = P + TOL_VERTEX * rng.uniform(-1.0, 1.0, P.shape)
+        norm = validate_norm_spec(Polyhedral(np.vstack([P, dups])))
+        want = _Polytope.hull_of(P)
+        assert norm._polytope.vertices.tobytes() == want.vertices.tobytes()
+        assert _facets_by_vertices(norm._polytope).keys() == _facets_by_vertices(want).keys()
+
+
+def test_double_description_cap_refuses_the_18_dimensional_cross_polytope_early():
+    # 2**18 facets: Qhull took 19 s and 1.95 GB; the cap stops the run at
+    # 2**16 rays of 37 constraints
+    V = np.vstack([np.eye(18), -np.eye(18)])
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(UnsupportedDimension, match="capped at 2\\*\\*21 entries"):
+            validate_norm_spec(Polyhedral(V))
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20 and elapsed < 30.0
+    # the 9-D cube's 18 facets are no problem (Qhull: 90 s and 773 MB)
+    cube = np.array(list(itertools.product((1.0, -1.0), repeat=9)))
+    assert validate_norm_spec(Polyhedral(cube))._polytope.normals.shape == (18, 9)
+
+
+def test_near_pairs_do_subquadratic_work_on_cubes():
+    # 1,024 vertices: every pair compared would hold a million candidates
+    cube = np.array(list(itertools.product((1.0, -1.0), repeat=10)))
+    for V in (cube, np.vstack([cube, cube * (1 + TOL_VERTEX / 2)])):
+        tracemalloc.start()
+        try:
+            pairs = _near_pairs(V, V, TOL_VERTEX)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == len(V) * (len(V) // len(cube)) and peak < 2**20 * len(V) // len(cube)
 
 
 def test_polytope_keeps_extreme_points_only_in_seven_dimensions():

@@ -334,8 +334,13 @@ def _bracket(r) -> tuple[float, float]:
 
 
 def test_lp_bracket_holds_the_diagonal_values():
-    # mu_p(D) = max d_i and ||D||_p = max |d_i| for every p
-    for n in range(1, 6):
+    # mu_p(D) = max d_i and ||D||_p = max |d_i| for every p; in one
+    # dimension every l_p norm is |x|, so those values are exact there
+    for p in (1.5, 3.0, 7.0):
+        norm = validate_norm_spec(Lp(p), dim=1)
+        assert matrix_measure([[-2.5]], norm).to_jsonable() == {"value": -2.5, "method": "closed_form", "error_bound": 0.0}
+        assert induced_matrix_norm([[-2.5]], norm).value == 2.5
+    for n in range(2, 6):
         for p in (1.5, 3.0, 7.0):
             norm = validate_norm_spec(Lp(p), dim=n)
             d = RNG.uniform(-4.0, 4.0, size=n)

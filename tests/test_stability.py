@@ -212,8 +212,8 @@ def test_report_flags_zero_diagonal_edge():
 
 def test_report_marginal_matrix():
     rep = additive_d_stability_report(np.array([[0.0, 1.0], [-1.0, 0.0]]), seed=0)
-    assert rep.verdict == "unstable"
-    assert np.array_equal(rep.counterexample.D, np.zeros((2, 2)))
+    # no D >= 0 gives a positive abscissa, so nothing is offered as one
+    assert rep.verdict == "unstable" and rep.counterexample is None
     assert rep.note is not None and "marginal" in rep.note
 
 
@@ -240,7 +240,7 @@ def test_2x2_destabilizer_shift_is_finite_or_named():
         # here the shift would have to exceed det / a_11 = 1e900
         rep = additive_d_stability_report(np.array([[1e-300, 1e300], [-1e300, -1.0]]), seed=0)
     assert rep.verdict == "unstable" and "overflows" in rep.note
-    assert np.array_equal(rep.counterexample.D, np.zeros((2, 2)))
+    assert rep.counterexample is None
 
 
 # -------------------------------------------------------------- metzler path
