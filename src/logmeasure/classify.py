@@ -11,12 +11,13 @@ converse fails.
 Exactness hierarchy: polytope-ball norms and scaled l_1/l_2/l_inf norms
 are decided exactly, by n checks each: the sign diagonals are generated
 by the n single flips and the 0/1 diagonals by the n projections, so
-convexity reduces every condition to those (closed-form operator norms,
-or the extreme points of the ball). Bare l_p norms are absolute. That
-leaves scaled generic l_p norms (1 < p < inf, p != 2), which fall back to
-seeded sampling with exact=False on a pass. A counterexample found by
-any route makes the verdict exact: the witness re-checks by direct
-evaluation.
+convexity reduces every condition to those: one closed-form number per
+coordinate for a scaled l_1/l_2/l_inf norm (O(n^2) in all), or the images
+under them of a polytope ball's extreme points. Bare l_p norms are
+absolute. That leaves scaled generic l_p norms (1 < p < inf, p != 2),
+which fall back to seeded sampling with exact=False on a pass. A
+counterexample found by any route makes the verdict exact: the witness
+re-checks by direct evaluation.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .common import DEFAULT_SEED, TOL_EXACT, as_rng
-from .errors import DimensionMismatch, NoExactPath, UnsupportedDimension
-from .measures import _closed_norm_many, induced_matrix_norm
-from .norms import MAX_SIGN_ENUM_DIM, ValidatedNorm
+from .errors import DimensionMismatch, NoExactPath
+from .measures import _rank_one_many
+from .norms import ValidatedNorm
 
 # Sampled vectors behind a classifier verdict with no exact route.
 _SAMPLES = 10_000
@@ -94,39 +95,19 @@ def is_absolute(
         # l_p norms depend on entry magnitudes only.
         return Verdict(True, True, None, 0)
     n = _require_dim(norm)
-    # row k flips coordinate n - 1 - k
-    signs = 1.0 - 2.0 * np.eye(n)[::-1]
 
-    if norm.route == "scaled_closed":
-        idx = np.arange(n)
-        S = np.zeros((n, n, n))
-        S[:, idx, idx] = signs
-        vals = _closed_norm_many(S, norm)
-        # the first flip a one-at-a-time check stops at: a violation, or
-        # a non-finite norm, which it reports as an error
-        stop = ~np.isfinite(vals) | (np.abs(vals - 1.0) > TOL_EXACT)
-        if not stop.any():
-            return Verdict(True, True, None, n)
-        k = int(np.argmax(stop))
-        if not np.isfinite(vals[k]):
-            raise ValueError(f"non-finite result value {vals[k]}")
-        return Verdict(False, True, _sign_normalize(np.diag(signs[k])), k + 1)
-
-    if norm._polytope is not None:
-        V = norm._polytope.vertices
-        m = V.shape[0]
-        # every flip of every extreme point in one call, flip-major
-        vals = norm.evaluate_many((signs[:, None, :] * V).reshape(n * m, n)).reshape(n, m)
-        bad = np.abs(vals - 1.0) > TOL_EXACT
-        if not bad.any():
-            return Verdict(True, True, None, n * m)
-        k = int(np.argmax(bad.any(axis=1)))
-        v = V[int(np.argmax(bad[k]))]
-        if abs(float(norm.evaluate_many(np.abs(v)[None, :])[0]) - 1.0) > TOL_EXACT:
-            witness = v
+    if norm.route != "estimated":
+        vals, first = _coordinate_checks(norm, "flip")
+        if first is None:
+            return Verdict(True, True, None, vals.size)
+        k, i = first
+        flip = np.where(np.arange(n) == n - 1 - k, -1.0, 1.0)
+        if norm._polytope is None:
+            witness = np.diag(flip)
         else:
-            witness = v * signs[k]
-        return Verdict(False, True, _sign_normalize(witness), (k + 1) * m)
+            v = norm._polytope.vertices[i]
+            witness = v if abs(float(norm.evaluate_many(np.abs(v)[None, :])[0]) - 1.0) > TOL_EXACT else v * flip
+        return Verdict(False, True, _sign_normalize(witness), (k + 1) * vals.shape[1])
 
     rng = as_rng(seed)
     X = rng.standard_normal((_SAMPLES, n))
@@ -140,22 +121,42 @@ def is_absolute(
 
 def _projection_witness_scaled(norm: ValidatedNorm, j: int) -> np.ndarray:
     """Unit vector x with |P_j x| = ||P_j|| for a scaled l_1/l_2/l_inf norm."""
-    n = norm.dim
-    P = np.eye(n)
+    P = np.eye(norm.dim)
     P[j, j] = 0.0
     M = norm.flat_T @ P @ norm.flat_Tinv
-    p = norm.core_p
-    if p == 1:
-        k = int(np.abs(M).sum(axis=0).argmax())
-        y = np.eye(n)[k]
-    elif p == math.inf:
-        i = int(np.abs(M).sum(axis=1).argmax())
-        y = np.where(M[i] >= 0, 1.0, -1.0)
+    if norm.core_p == 1:
+        y = np.eye(norm.dim)[int(np.abs(M).sum(axis=0).argmax())]
+    elif norm.core_p == math.inf:
+        y = np.where(M[int(np.abs(M).sum(axis=1).argmax())] >= 0, 1.0, -1.0)
     else:
-        _, _, vt = np.linalg.svd(M)
-        y = vt[0]
+        y = np.linalg.svd(M)[2][0]
         y = y / float(np.linalg.norm(y))
     return norm.flat_Tinv @ y
+
+
+def _coordinate_checks(norm: ValidatedNorm, what: str) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """The table of ||M_j|| (one column) or of |M_j v| (a column per extreme
+    point v of a polytope ball) for the projections P_1, ..., P_n, checked
+    for ||P_j|| <= 1, or the flips S_n, ..., S_1, checked for ||S_j|| = 1;
+    and the row and column where a one-at-a-time check stops (None if it
+    does not): a violation, or a non-finite value, which it reports."""
+    if norm._polytope is None:
+        vals = _rank_one_many(norm, what)[:, None]
+    else:
+        V = norm._polytope.vertices
+        (m, n), idx = V.shape, np.arange(V.shape[1])
+        W = np.repeat(V[None], n, axis=0)
+        W[idx, :, idx] = 0.0 if what == "projection" else -V.T
+        vals = norm.evaluate_many(W.reshape(n * m, n)).reshape(n, m)
+    if what == "flip":
+        vals = vals[::-1]
+    stop = ~np.isfinite(vals) | (np.abs(vals - 1.0) > TOL_EXACT if what == "flip" else vals > 1.0 + TOL_EXACT)
+    if not stop.any():
+        return vals, None
+    j, i = divmod(int(np.argmax(stop)), stop.shape[1])
+    if not np.isfinite(vals[j, i]):
+        raise ValueError(f"non-finite result value {vals[j, i]}")
+    return vals, (j, i)
 
 
 def is_orthant_monotonic(
@@ -168,34 +169,14 @@ def is_orthant_monotonic(
         # Absolute norms are orthant-monotonic.
         return Verdict(True, True, None, 0)
     n = _require_dim(norm)
-    idx = np.arange(n)
 
-    if norm.route == "scaled_closed":
-        P = np.repeat(np.eye(n)[None], n, axis=0)
-        P[idx, idx, idx] = 0.0
-        vals = _closed_norm_many(P, norm)
-        # the first projection a one-at-a-time check stops at: a violation,
-        # or a non-finite norm, which it reports as an error
-        stop = ~np.isfinite(vals) | (vals > 1.0 + TOL_EXACT)
-        if not stop.any():
-            return Verdict(True, True, None, n)
-        j = int(np.argmax(stop))
-        if not np.isfinite(vals[j]):
-            raise ValueError(f"non-finite result value {vals[j]}")
-        x = _projection_witness_scaled(norm, j)
-        return Verdict(False, True, _sign_normalize(x), j + 1)
-
-    if norm._polytope is not None:
-        V = norm._polytope.vertices
-        m = V.shape[0]
-        # every projection of every extreme point in one call, j-major
-        W = np.repeat(V[None], n, axis=0)
-        W[idx, :, idx] = 0.0
-        bad = (norm.evaluate_many(W.reshape(n * m, n)) > 1.0 + TOL_EXACT).reshape(n, m)
-        if not bad.any():
-            return Verdict(True, True, None, n * m)
-        j = int(np.argmax(bad.any(axis=1)))
-        return Verdict(False, True, _sign_normalize(V[int(np.argmax(bad[j]))]), (j + 1) * m)
+    if norm.route != "estimated":
+        vals, first = _coordinate_checks(norm, "projection")
+        if first is None:
+            return Verdict(True, True, None, vals.size)
+        j, i = first
+        x = _projection_witness_scaled(norm, j) if norm._polytope is None else norm._polytope.vertices[i]
+        return Verdict(False, True, _sign_normalize(x), (j + 1) * vals.shape[1])
 
     rng = as_rng(seed)
     X = rng.standard_normal((_SAMPLES, n))
@@ -218,23 +199,18 @@ def diag_norm_identity_check(norm: ValidatedNorm) -> Verdict:
     ||D|| >= |D e_i| / |e_i| = d_i always. d -> ||diag d|| is convex, so
     on the box [0, max d]^n it peaks at max d times a 0/1 diagonal, which
     is a product of the coordinate-deleting projections P_j. So the
-    identity holds iff ||P_j|| <= 1 for every j: the operator side of
-    orthant monotonicity, decided exactly by n induced norms (none for a
-    bare l_p norm, which is absolute). On the scaled_closed route these
-    are the projection norms is_orthant_monotonic computes. The witness
-    is the first P_j with ||P_j|| > 1.
+    identity holds iff ||P_j|| <= 1 for every j, the check that
+    is_orthant_monotonic reads (none for a bare l_p norm, which is
+    absolute). The witness is the first P_j with ||P_j|| > 1.
     """
     if norm.route == "estimated":
         raise NoExactPath("diagonal identity check requires an exact induced-norm route")
     n = _require_dim(norm)
     if norm.kind == "lp":
         return Verdict(True, True, None, 0)
-    if n > MAX_SIGN_ENUM_DIM and norm.route == "polyhedral":
-        raise UnsupportedDimension("vertex sets unavailable at this dimension")
-
-    for j in range(n):
-        P = np.eye(n)
-        P[j, j] = 0.0
-        if abs(induced_matrix_norm(P, norm).value - float(P.max())) > TOL_EXACT:
-            return Verdict(False, True, P, j + 1)
-    return Verdict(True, True, None, n)
+    _, first = _coordinate_checks(norm, "projection")
+    if first is None:
+        return Verdict(True, True, None, n)
+    P = np.eye(n)
+    P[first[0], first[0]] = 0.0
+    return Verdict(False, True, P, first[0] + 1)

@@ -98,10 +98,8 @@ def _core_frame(S: np.ndarray, norm: ValidatedNorm) -> np.ndarray:
         return S if norm.flat_T is None else norm.flat_T @ S @ norm.flat_Tinv
 
 
-# The two kernels below take one matrix, or a (k, n, n) stack, under a norm
-# on a closed-form route. A stack goes through the same numpy calls, matrix
-# by matrix, as a single matrix does, so every entry is bit-identical to a
-# one-by-one evaluation.
+# The two kernels below also take a (k, n, n) stack, whose every entry is
+# bit-identical to a one-by-one evaluation.
 
 
 def _closed_norm_many(S: np.ndarray, norm: ValidatedNorm) -> np.ndarray:
@@ -113,10 +111,8 @@ def _closed_norm_many(S: np.ndarray, norm: ValidatedNorm) -> np.ndarray:
 
 def _closed_norm_core(S: np.ndarray, p: float) -> np.ndarray:
     """Closed-form l_p induced norm of each matrix, p in {1, 2, inf}."""
-    if p == 1:
-        return np.abs(S).sum(axis=-2).max(axis=-1)
-    if p == math.inf:
-        return np.abs(S).sum(axis=-1).max(axis=-1)
+    if p in (1, math.inf):
+        return np.abs(S).sum(axis=-2 if p == 1 else -1).max(axis=-1)
     try:
         return np.linalg.norm(S, 2, axis=(-2, -1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -131,16 +127,50 @@ def _closed_mu_many(S: np.ndarray, norm: ValidatedNorm) -> np.ndarray:
 
 
 def _closed_mu_core(S: np.ndarray, p: float) -> np.ndarray:
-    """Closed-form l_p measure of each matrix, p in {1, 2, inf}."""
-    d = np.diagonal(S, axis1=-2, axis2=-1)
-    if p == 1:
-        return (d + np.abs(S).sum(axis=-2) - np.abs(d)).max(axis=-1)
-    if p == math.inf:
-        return (d + np.abs(S).sum(axis=-1) - np.abs(d)).max(axis=-1)
+    """Closed-form l_p measure of each matrix, p in {1, 2, inf}: for l_inf
+    the largest s_ii + sum_{k != i} |s_ik|, for l_1 the same over columns."""
+    if p in (1, math.inf):
+        R = np.where(np.eye(S.shape[-1], dtype=bool), S, np.abs(S))
+        return R.sum(axis=-2 if p == 1 else -1).max(axis=-1)
     try:
         return np.linalg.eigvalsh(0.5 * (S + S.swapaxes(-1, -2)))[..., -1]
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigenFailure(f"symmetric eigensolver failed: {exc}") from exc
+
+
+def _rank_one_many(norm: ValidatedNorm, what: str) -> np.ndarray:
+    """||P_j|| (``'projection'``), ||S_j|| (``'flip'``) or mu(-E_j) (``'ray'``)
+    for every j under a norm on a closed-form route: P_j deletes coordinate
+    j, S_j flips its sign, E_j = diag(e_j). T (flat_T, or I) conjugates them
+    to I - u w^T, I - 2 u w^T and u w^T, u = T e_j and w^T = e_j^T T^-1
+    (Szyld, Numer. Algorithms 42, 2006), so each costs O(n). Under l_inf,
+    row i of I - c u w^T sums to |1 - c u_i w_i| + c |u_i| sum_{l != i} |w_l|
+    and mu(-u w^T) is the largest |u_i| sum_{l != i} |w_l| - u_i w_i; l_1
+    swaps u and w. Under l_2 (a 1-D core is l_1), k = |u| |w| is ||P_j||,
+    (k - 1)/2 is mu(-E_j) and ||S_j|| = k + sqrt(k^2 - 1) is taken as
+    k + |u| |r|, r the part of w orthogonal to u, free of the cancellation
+    near k = 1. An overflow gives a non-finite value, which the caller
+    reports, and no numpy warning."""
+    U = np.eye(norm.dim) if norm.flat_T is None else norm.flat_T
+    Wt = U if norm.flat_T is None else norm.flat_Tinv.T  # column j is w_j
+    with np.errstate(over="ignore", invalid="ignore"):
+        if norm.core_p == 2:
+            # hypot keeps the column norms free of overflow and underflow
+            nu = np.hypot.reduce(U, axis=0)
+            k = nu * np.hypot.reduce(Wt, axis=0)
+            if what == "projection":
+                return k
+            if what == "ray":
+                return (k - 1.0) / 2.0
+            Uh = U / nu
+            return k + nu * np.hypot.reduce(Wt - Uh * (Uh * Wt).sum(axis=0), axis=0)
+        a, b = (U, Wt) if norm.core_p == math.inf else (Wt, U)
+        Ab = np.abs(b)
+        off = np.abs(a) * (Ab.sum(axis=0) - Ab)
+        if what == "ray":
+            return (off - a * b).max(axis=0)
+        c = 1.0 if what == "projection" else 2.0
+        return (np.abs(1.0 - c * (a * b)) + c * off).max(axis=0)
 
 
 def _bind_matrix(A, norm: ValidatedNorm) -> np.ndarray:

@@ -53,8 +53,8 @@ from .errors import (
     ValidationError,
 )
 
-# Enumerating the l-inf ball (or sign diagonals) costs 2**n; beyond this cap
-# the package refuses rather than exhausting memory.
+# Enumerating the l-inf ball's 2**n vertices is refused beyond this cap
+# rather than exhausting memory.
 MAX_SIGN_ENUM_DIM = 16
 
 # PiecewiseOrthant needs one case per orthant, 2**n of them, and is
@@ -247,8 +247,8 @@ class _Polytope:
         self.normals = normals
         self.pair_vertex = pair_vertex
         self.pair_facet = pair_facet
-        # column p is n_F * v for pair p, so mu(diag(e)) = max_p e . column p
-        self._diag_weights = (normals[pair_facet] * vertices[pair_vertex]).T
+        # row j: -(n_F)_j v_j of each pair (v, F), contiguous for the max along it
+        self._ray_weights = np.ascontiguousarray(-(normals[pair_facet] * vertices[pair_vertex]).T)
 
     @classmethod
     def hull_of(cls, P: np.ndarray) -> "_Polytope":
@@ -322,9 +322,12 @@ class _Polytope:
         return cls(V[order], normals, row_of[pair_vertex], pair_facet)
 
     def transformed(self, T: np.ndarray) -> "_Polytope":
-        """The ball of x -> |T x|: vertices T^-1 v and normals T^T n_F."""
-        W = self.vertices @ np.linalg.inv(T).T
-        return self._sorted(W, self.normals @ T, self.pair_vertex, self.pair_facet)
+        """The ball of x -> |T x|: vertices T^-1 v and normals T^T n_F, refused if they overflow."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            W, normals = self.vertices @ np.linalg.inv(T).T, self.normals @ T
+        if not (np.isfinite(W).all() and np.isfinite(normals).all()):
+            raise ValidationError("the scaled ball's vertices or facet normals overflow")
+        return self._sorted(W, normals, self.pair_vertex, self.pair_facet)
 
     def gauge_many(self, X: np.ndarray) -> np.ndarray:
         # the max runs over the facets on the transposed scores: numpy
@@ -344,9 +347,9 @@ class _Polytope:
     def measure(self, A: np.ndarray) -> float:
         return float(self._scores(A)[self.pair_facet, self.pair_vertex].max())
 
-    def diag_measure_many(self, E: np.ndarray) -> np.ndarray:
-        """mu(diag(e)) for every row e of E, in one matrix product."""
-        return (E @ self._diag_weights).max(axis=1)
+    def ray_measures(self) -> np.ndarray:
+        """mu(-E_j), E_j = diag(e_j), for every j: the largest weight of row j."""
+        return self._ray_weights.max(axis=1)
 
 
 _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)

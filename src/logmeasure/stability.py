@@ -57,7 +57,7 @@ from .errors import (
     NotOrthantMonotonic,
     WrongDimension,
 )
-from .measures import _abscissa_many, _abscissa_stack, _closed_mu_many, matrix_measure, spectral_abscissa
+from .measures import _abscissa_many, _abscissa_stack, _rank_one_many, matrix_measure, spectral_abscissa
 from .norms import Lp, Scaled, ValidatedNorm, validate_norm_spec
 
 ADMISSIBILITY_TOL = 1e-9
@@ -132,6 +132,8 @@ def is_admissible_measure(
     to the first violation. When not admissible, counterexample_D is the
     first E_j with mu(-E_j) > 0.
     """
+    if norm.route == "estimated" and norm.kind != "lp":
+        raise NoExactPath("admissibility cross-checks need an exact measure path")
     om = is_orthant_monotonic(norm, seed=seed)
     trace: dict[str, Verdict] = {"orthant_monotonic": om}
     numeric_names = ("negated_diagonal_measure", "diagonal_measure_identity", "uniform_margin")
@@ -142,50 +144,38 @@ def is_admissible_measure(
         for name in numeric_names:
             trace[name] = Verdict(True, False, None, 0)
         return AdmissibilityVerdict(True, True, None, trace)
-    if norm.route == "estimated":
-        raise NoExactPath("admissibility cross-checks need an exact measure path")
 
     n = norm.dim
-    mu = _diag_measures(norm, -np.eye(n))
+    mu = _diag_measures(norm)
     if not np.isfinite(mu).all():
         raise ValueError(f"non-finite result value {mu[~np.isfinite(mu)][0]}")
     bad = mu > ADMISSIBILITY_TOL
-    counterexample = None
-    witnesses = (None, None, None)
-    checks = n
+    counterexample, witnesses, checks = None, (None, None, None), n
     if bad.any():
         j = int(np.argmax(bad))
         counterexample = np.diag(np.eye(n)[j])
-        witnesses = (counterexample, np.eye(n) - counterexample, (2.0 / mu[j]) * counterexample)
+        mu_j = matrix_measure(-counterexample, norm).value  # re-verified; scales the margin's witness
+        if mu_j <= ADMISSIBILITY_TOL:
+            raise InconsistentOracles("constructed admissibility counterexample failed to re-verify")
+        witnesses = (counterexample, np.eye(n) - counterexample, (2.0 / mu_j) * counterexample)
         checks = j + 1
     for name, w in zip(numeric_names, witnesses):
         trace[name] = Verdict(w is None, True, w, checks)
 
-    if counterexample is not None:
-        if matrix_measure(-counterexample, norm).value <= ADMISSIBILITY_TOL:
-            raise InconsistentOracles(
-                "constructed admissibility counterexample failed to re-verify"
-            )
-        if om.holds:
-            raise InconsistentOracles(
-                "norm classified orthant-monotonic but a diagonal measure condition failed"
-            )
-        return AdmissibilityVerdict(False, om.exact, counterexample, trace)
-
-    if not om.holds:
+    if om.holds == (counterexample is not None):
         raise InconsistentOracles(
-            "norm classified not orthant-monotonic but no diagonal counterexample exists"
+            "norm classified orthant-monotonic but a diagonal measure condition failed"
+            if om.holds
+            else "norm classified not orthant-monotonic but no diagonal counterexample exists"
         )
-    return AdmissibilityVerdict(True, om.exact, None, trace)
+    return AdmissibilityVerdict(om.holds, om.exact, counterexample, trace)
 
 
-def _diag_measures(norm: ValidatedNorm, E: np.ndarray) -> np.ndarray:
-    """mu(diag(e)) for every row e of E under a norm with an exact route:
-    one matrix product for polytope balls, one stacked closed-form call
-    otherwise."""
+def _diag_measures(norm: ValidatedNorm) -> np.ndarray:
+    """mu(-E_j), E_j = diag(e_j), for every j under a norm with an exact route."""
     if norm._polytope is not None:
-        return norm._polytope.diag_measure_many(E)
-    return _closed_mu_many(E[:, :, None] * np.eye(norm.dim), norm)
+        return norm._polytope.ray_measures()
+    return _rank_one_many(norm, "ray")
 
 
 def measure_of_diagonal(

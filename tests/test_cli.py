@@ -486,14 +486,27 @@ HUGE_INPUTS = {
     "lp3_riesz_thorin_overflow": ("measure", {"matrix": [[1e308, 0], [0, 1]], "norm": {"kind": "lp", "p": 3}}, 65),
     "scaled_lp3_overflow": ("measure", {"matrix": [[1e308, 0], [0, 1]], "norm": {
         "kind": "scaled", "T": [[2, 0], [0, 1]], "inner": {"kind": "lp", "p": 3}}}, 65),
-    # one-dimensional, so closed: its l_1 formula overflows and is refused
-    # (it used to print overflow warnings and "error_bound": Infinity)
+    # one-dimensional, so closed: mu = 1e308 (it used to print overflow
+    # warnings and "error_bound": Infinity, then to be refused as inf)
     "scaled_lp3_1d": ("measure", {"matrix": [[1e308]], "norm": {
-        "kind": "scaled", "T": [[1]], "inner": {"kind": "lp", "p": 3}}}, 65),
+        "kind": "scaled", "T": [[1]], "inner": {"kind": "lp", "p": 3}}}, 0),
+    # the l_1 / l_inf measure summed |a_ii| into the row and took it out
+    # again: inf, refused, though mu = 1e308
+    "lp1_huge_diagonal": ("measure", {"matrix": [[1e308, 0], [0, 1]], "norm": {"kind": "lp", "p": 1}}, 0),
+    "linf_1d_huge": ("measure", {"matrix": [[1e308]], "norm": {"kind": "lp", "p": "inf"}}, 0),
+    # the scaled ball's vertices overflow: three RuntimeWarnings, then exit 65
+    "scaled_polytope_1e-300": ("classify", {"norm": {"kind": "scaled", "T": [[-1e-300]], "inner": {
+        "kind": "polyhedral", "vertices": [[1e300], [-1e300]]}}}, 65),
+    "scaled_polytope_1e-9": ("classify", {"norm": {"kind": "scaled", "T": [[-1e-9]], "inner": {
+        "kind": "polyhedral", "vertices": [[1e300], [-1e300]]}}}, 65),
     # sqrt(2) |x0 - z0|_inf = 1.41e308 is just under MAX_INITIAL_STATE
     "diffusion_near_bound": ("diffusion", {"matrix": [[1, -3], [1, -2]], "D": [1, 1], "x0": [5e307, 0],
                                            "z0": [-5e307, 1], "horizon": 1, "dt": 0.01}, 0),
 }
+
+
+# the measures of the accepted documents that are not 1
+HUGE_VALUES = {"scaled_lp3_1d": 1e308, "lp1_huge_diagonal": 1e308, "linf_1d_huge": 1e308}
 
 
 @pytest.mark.parametrize("case", sorted(HUGE_INPUTS))
@@ -507,7 +520,7 @@ def test_huge_inputs_get_a_typed_answer_and_no_warning(capsys, tmp_path, case):
     if code == 0:
         parsed = json.loads(out, parse_constant=lambda name: pytest.fail(f"invalid JSON constant {name}"))
         if cmd == "measure":
-            assert parsed["value"] == 1.0
+            assert parsed["value"] == HUGE_VALUES.get(case, 1.0)
     else:
         assert out == "" and len(err.splitlines()) == 1
 

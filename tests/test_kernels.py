@@ -33,7 +33,7 @@ from logmeasure import (
 )
 from logmeasure.classify import _projection_witness_scaled, _sign_normalize
 from logmeasure.common import TOL_EXACT, TOL_VERTEX
-from logmeasure.measures import _closed_mu_many, _closed_norm_many
+from logmeasure.measures import _closed_mu_many, _closed_norm_many, _rank_one_many
 from logmeasure.norms import _Polytope, _check_symmetric, _dedup_rows, _lp_eval_many, _near_pairs
 from logmeasure.stability import ADMISSIBILITY_TOL, FALSIFY_THRESHOLD, _abscissa_many
 
@@ -256,7 +256,7 @@ def test_stacked_sweep_falls_back_to_the_loop_on_overflow(monkeypatch):
         reference_sweep(norm, diags)
     assert is_admissible_measure(norm).admissible
     # a non-finite mu(-E_j) still raises, naming the first such value
-    monkeypatch.setattr("logmeasure.stability._diag_measures", lambda norm, E: np.array([0.0, np.inf]))
+    monkeypatch.setattr("logmeasure.stability._diag_measures", lambda norm: np.array([0.0, np.inf]))
     with pytest.raises(ValueError, match="non-finite result value inf"):
         is_admissible_measure(norm)
 
@@ -440,6 +440,92 @@ def _convexity_norms():
 
 
 CONVEXITY_NORMS = _convexity_norms()
+
+
+def _hard_scalings():
+    """90 scaled l_1, l_2 and l_inf norms, n = 2..7, whose T is diagonal,
+    I + 10^-k G (k = 1..10 in turn), general, a signed permutation times a
+    diagonal, or orthogonal times a diagonal."""
+    rng = np.random.default_rng(43)
+    out = []
+    for i, (n, p) in enumerate(itertools.product(range(2, 8), (1.0, 2.0, np.inf))):
+        d = np.diag(np.exp(rng.uniform(-3, 3, n)))
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        for T in (
+            d,
+            np.eye(n) + 10.0 ** -(1 + i % 10) * rng.standard_normal((n, n)),
+            rng.standard_normal((n, n)),
+            np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], n) @ d,
+            Q @ d,
+        ):
+            out.append(validate_norm_spec(Scaled(T, Lp(p))))
+    return out
+
+
+HARD_NORMS = _hard_scalings()
+
+
+def _coordinate_stacks(n):
+    """The projections P_j, the flips S_j and the rays -E_j, each an (n, n, n) stack."""
+    idx = np.arange(n)
+    P, S, E = np.repeat(np.eye(n)[None], n, axis=0), np.repeat(np.eye(n)[None], n, axis=0), np.zeros((n, n, n))
+    P[idx, idx, idx], S[idx, idx, idx], E[idx, idx, idx] = 0.0, -1.0, -1.0
+    return P, S, E
+
+
+def test_rank_one_numbers_match_the_stacked_kernels():
+    huge = [validate_norm_spec(Scaled(s * np.eye(3), Lp(p))) for s in (1e308, 1e-300) for p in (1.0, 2.0, np.inf)]
+    norms = [m for m in NORMS + CONVEXITY_NORMS + HARD_NORMS + huge if m.route in ("closed", "scaled_closed")]
+    assert len(norms) == 180
+    for norm in norms:
+        P, S, E = _coordinate_stacks(norm.dim)
+        for what, stack, kernel in (("projection", P, _closed_norm_many), ("flip", S, _closed_norm_many),
+                                    ("ray", E, _closed_mu_many)):
+            got, want = _rank_one_many(norm, what), kernel(stack, norm)
+            # relative to the norms of the conjugated matrices, which bound
+            # the stacked kernels' rounding
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, _closed_norm_many(stack, norm))), what
+
+
+@pytest.mark.parametrize("n, p, diagonal", [(1000, 2.0, True), (300, np.inf, False)])
+def test_coordinate_checks_take_quadratic_time_and_memory(n, p, diagonal):
+    # the (n, n, n) stacks these checks once built would hold 8 GB at n = 1000
+    rng = np.random.default_rng(n)
+    T = np.diag(np.exp(rng.uniform(-2, 2, n))) if diagonal else rng.standard_normal((n, n)) + n**0.5 * np.eye(n)
+    norm = validate_norm_spec(Scaled(T, Lp(p)))
+    for check in (is_absolute, is_orthant_monotonic, diag_norm_identity_check, is_admissible_measure):
+        tracemalloc.start()
+        start = time.perf_counter()
+        verdict = check(norm)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert getattr(verdict, "holds", getattr(verdict, "admissible", None)) == diagonal
+        assert elapsed < 1.0 and peak < 10 * n * n * 8, (check.__name__, elapsed, peak / (8 * n * n))
+
+
+@pytest.mark.parametrize("k", range(len(HARD_NORMS)))
+def test_hard_scalings_match_the_per_matrix_loops(k):
+    """The exact checks on HARD_NORMS against the loops: the 2^n sign
+    patterns, one projection, one E_j and one induced norm of P_j at a
+    time. The sampled admissibility sweep of check_admissibility is left
+    out: ADMISSIBILITY_TOL is absolute, so on I + 1e-5 G (k = 21) and
+    I + 1e-10 G (k = 46) sampled diagonals of size up to 10 cross it where
+    no E_j does (ROADMAP item 3)."""
+    norm, n = HARD_NORMS[k], HARD_NORMS[k].dim
+    holds, witness, checks = reference_is_absolute(norm)
+    got = is_absolute(norm)
+    assert (got.holds, got.exact) == (holds, True) and _same(got.witness, witness)
+    assert checks == (2**n if holds else 2 ** (got.checks_run - 1) + 1)
+    (om_holds, om_w, om_checks), _, ce, ce_checks = reference_admissibility(norm, 1, k)
+    got = is_orthant_monotonic(norm)
+    assert (got.holds, got.exact, got.checks_run) == (om_holds, True, om_checks) and _same(got.witness, om_w)
+    adm = is_admissible_measure(norm)
+    assert adm.admissible == om_holds == (ce is None) and _same(adm.counterexample_D, ce)
+    assert all(adm.equivalence_trace[name].checks_run == ce_checks for name in TRACE_NAMES)
+    bad = [abs(induced_matrix_norm(P, norm).value - 1.0) > TOL_EXACT for P in _coordinate_stacks(n)[0]]
+    got = diag_norm_identity_check(norm)
+    assert (got.holds, got.checks_run) == (not any(bad), bad.index(True) + 1 if any(bad) else n)
 
 
 @pytest.mark.parametrize("k", range(len(CONVEXITY_NORMS)))

@@ -82,6 +82,16 @@ def test_closed_forms_match_textbook_formulas(A):
         assert got_m.error_bound == 0.0
 
 
+def test_l1_linf_measures_of_huge_diagonals_are_finite():
+    # mu = 1e308 although the absolute row or column sum overflows
+    A = np.array([[1e308, 0.0], [0.0, 1.0]])
+    for norm in (L1, LINF):
+        assert matrix_measure(A, norm).value == 1e308
+        assert matrix_measure(A.T, norm).value == 1e308
+    for spec in (Lp(1.0), Lp(np.inf), Scaled(np.eye(1), Lp(3.0))):
+        assert matrix_measure([[1e308]], validate_norm_spec(spec, dim=1)).value == 1e308
+
+
 def test_reference_matrix_frozen_values():
     A = FRAGILE_MATRIX
     assert matrix_measure(A, LINF).value == 4.0

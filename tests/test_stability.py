@@ -11,6 +11,7 @@ from logmeasure import (
     FRAGILE_MATRIX,
     Lp,
     Marginal,
+    NoExactPath,
     NotAdmissibleWarning,
     NotMetzler,
     NotOrthantMonotonic,
@@ -105,6 +106,18 @@ def test_plain_lp_admissible_structurally():
     assert v.equivalence_trace["orthant_monotonic"].exact
     # the numeric conditions were not sampled, only implied
     assert v.equivalence_trace["negated_diagonal_measure"].checks_run == 0
+
+
+def test_admissibility_refuses_scaled_generic_lp_before_sampling(monkeypatch):
+    # the route decides the refusal: no classifier sample is drawn first
+    T = np.array([[1.0, 0.3, 0.0, 0.0], [0.0, 1.0, -0.2, 0.0], [0.1, 0.0, 1.0, 0.4], [0.0, 0.0, 0.0, 2.0]])
+    norm = validate_norm_spec(Scaled(T, Lp(3.0)))
+    rows = []
+    evaluate_many = type(norm).evaluate_many
+    monkeypatch.setattr(type(norm), "evaluate_many", lambda self, X: rows.append(len(X)) or evaluate_many(self, X))
+    with pytest.raises(NoExactPath, match="admissibility cross-checks need an exact measure path"):
+        is_admissible_measure(norm)
+    assert rows == []
 
 
 # ------------------------------------------------------- diagonal shortcuts

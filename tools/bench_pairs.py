@@ -5,11 +5,14 @@
 
 Run from the repository root. The change is this checkout's working tree;
 the parent (default ``HEAD``) is extracted with ``git archive`` into a
-temporary directory, removed afterwards. Both sides run their own, unchanged
-``perfbench/run.py`` (``--trace 0``) once per seed; pair i runs the parent
-first when i is even and the change first when i is odd. With
-``--traced-seed``, each workload also gets one ``--trace 1`` run per side on
-that seed, whose per-layer metrics are stored as they are.
+temporary directory, removed afterwards. The extract has no bytecode caches,
+so the tool refuses to start while ``src/`` or ``perfbench/`` holds a
+``__pycache__`` (it names them; remove them first), and runs both sides
+with PYTHONDONTWRITEBYTECODE=1 so that neither writes one. Both sides run
+their own, unchanged ``perfbench/run.py`` (``--trace 0``) once per seed;
+pair i runs the parent first when i is even and the change first when i is
+odd. With ``--traced-seed``, each workload also gets one ``--trace 1`` run
+per side on that seed, whose per-layer metrics are stored as they are.
 
 For each end-to-end metric of ``BENCHMARK.json`` the file holds each side's
 median and quartiles, the change's wins (ties count for neither side) and
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -55,6 +59,11 @@ def extract(rev: str, dest: Path) -> str:
     return sha
 
 
+def bytecode_caches(root: Path) -> list[Path]:
+    """The ``__pycache__`` directories under root's src/ and perfbench/."""
+    return sorted(p for top in ("src", "perfbench") for p in (root / top).rglob("__pycache__"))
+
+
 def src_lines(root: Path) -> int:
     return sum(len(p.read_text(encoding="utf-8").splitlines()) for p in (root / "src").rglob("*.py"))
 
@@ -63,7 +72,8 @@ def bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> t
     """One perfbench run in the checkout at root: (result line, full record)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", str(trace)]
-    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {done.returncode}: {done.stderr[-2000:]}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
@@ -106,6 +116,10 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", default="HEAD")
     ap.add_argument("--traced-seed", type=int)
     args = ap.parse_args(argv)
+    caches = bytecode_caches(ROOT)
+    if caches:
+        sys.exit(f"bench_pairs: bytecode caches in the working tree would run only on the change's side; "
+                 f"remove them first: {', '.join(map(str, caches))}")
 
     plan = [(name, seeds_of(seeds)) for name, _, seeds in (p.partition("=") for p in args.pairs)]
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
