@@ -34,15 +34,17 @@ value = lower and error_bound = (upper - lower) plus a few-ulp pad:
 
 In two dimensions a branch-and-bound over the angle t of x = (cos t, sin t)
 closes the bracket to ``BRACKET_GAP`` times sum |M_ij|, unless
-``BRACKET_MAX_EVALS`` stops it first. It halves intervals of an end-point
-grid of [0, pi] that starts at 64 intervals, and bounds each by the smaller
-of a first-order bound, from a Lipschitz constant of the quotient in t, and
-a second-order one (Breiman & Cutler 1993), from a bound K on the second
-derivative in t of |Mx|_p^p / |x|_p^p or of phi(x).Mx / |x|_p, which the
-row norms of M and |x|_p^p >= 2^(1 - p/2) give. Only the first-order bound
-applies where K overflows (very large p) and, for the measure at
-2 < p < 3, on an interval that reaches an axis. In any other dimension the
-lower bound comes from a stacked ascent and the bracket can be wide.
+``BRACKET_MAX_EVALS`` stops it first. It splits each open interval of an
+end-point grid of [0, pi], which starts at 64 intervals, into 16 equal
+parts per round (near the cap it halves the highest-bound ones instead),
+and bounds each by the smaller of a first-order bound, from a Lipschitz
+constant of the quotient in t, and a second-order one (Breiman & Cutler
+1993), from a bound K on the second derivative in t of |Mx|_p^p / |x|_p^p
+or of phi(x).Mx / |x|_p, which the row norms of M and
+|x|_p^p >= 2^(1 - p/2) give. Only the first-order bound applies where K
+overflows (very large p) and, for the measure at 2 < p < 3, on an interval
+that reaches an axis. In any other dimension the lower bound comes from a
+stacked ascent and the bracket can be wide.
 """
 
 from __future__ import annotations
@@ -217,19 +219,22 @@ def _lp_quotients(M: np.ndarray, p: float, X: np.ndarray, quantity: str) -> np.n
     return np.divide(num, nx, out=np.full_like(nx, -math.inf), where=nx > 0)
 
 
-def _riesz_thorin(M: np.ndarray, p: float, quantity: str) -> float:
-    """The smaller of the (2, inf) and (1, inf) interpolation caps, p >= 2."""
+def _riesz_thorin(M: np.ndarray, p: float, quantity: str, m2: float) -> float:
+    """The smaller of the (2, inf) and (1, inf) interpolation caps, p >= 2;
+    m2 is ||M||_2."""
     th2, th1 = 2.0 / p, 1.0 / p
     if quantity == "norm":
-        n1, n2, ninf = (float(_closed_norm_core(M, r)) for r in (1, 2, math.inf))
-        return min(n2**th2 * ninf ** (1 - th2), n1**th1 * ninf ** (1 - th1))
-    m1, m2, minf = (float(_closed_mu_core(M, r)) for r in (1, 2, math.inf))
-    return min(th2 * m2 + (1 - th2) * minf, th1 * m1 + (1 - th1) * minf)
+        n1, ninf = (float(_closed_norm_core(M, r)) for r in (1, math.inf))
+        return min(m2**th2 * ninf ** (1 - th2), n1**th1 * ninf ** (1 - th1))
+    m1, mu2, minf = (float(_closed_mu_core(M, r)) for r in (1, 2, math.inf))
+    return min(th2 * mu2 + (1 - th2) * minf, th1 * m1 + (1 - th1) * minf)
 
 
-def _curvature(M, p, quantity, Xa, Xb, b):
-    """Bound K on |F''| in t on each interval with end points Xa, Xb (rows),
-    F the function that ``_branch_and_bound`` bounds to second order.
+def _curvature(M, p, quantity, b):
+    """Bound K on |F''| in t, F the function that ``_branch_and_bound``
+    bounds to second order, as a function of the end points Xa, Xb (rows)
+    of the intervals. Only the measure at 2 < p < 3 has a K per interval;
+    every other case has one number, computed here once per bracket.
 
     With x = (cos t, sin t), y = Mx, S_z = sum |z_i|^p and r_i the 2-norm
     of row i of M, p >= 2 gives |S_x'| <= p, |S_x''| <= p(p - 1),
@@ -247,32 +252,48 @@ def _curvature(M, p, quantity, Xa, Xb, b):
     with np.errstate(over="ignore"):
         s = np.exp2(p / 2 - 1)
         tail = (3 * p * p - p) * s**2 + 2 * p * p * s**3
+    r = np.hypot(M[:, 0], M[:, 1])
+    if quantity == "measure" and p < 3:
+
+        def per_interval(Xa, Xb):
+            w = np.where(Xa * Xb > 0, np.minimum(np.abs(Xa), np.abs(Xb)), 0.0)
+            k = s * (((p - 1) * (p - 2) * np.maximum(w, _TINY) ** (p - 3) + 3 * p - 2) @ r) + tail * r.sum()
+            return np.where((w > 0).all(axis=1), k, math.inf)
+
+        return per_interval
+    with np.errstate(over="ignore"):
         if not math.isfinite(tail):
-            return np.full(len(Xa), math.inf)
-        r = np.hypot(M[:, 0], M[:, 1])
-        if quantity == "norm":
-            return np.full(len(Xa), (p * (p - 1) * s + tail) * float(((r / b) ** p).sum()))
-        w = np.where(Xa * Xb > 0, np.minimum(np.abs(Xa), np.abs(Xb)), 0.0)
-        e = np.maximum(w, _TINY) ** (p - 3) if p < 3 else np.ones_like(w)
-        k = s * (((p - 1) * (p - 2) * e + 3 * p - 2) @ r) + tail * r.sum()
-        return np.where((w > 0).all(axis=1) | (p >= 3), k, math.inf)
+            k = math.inf
+        elif quantity == "norm":
+            k = (p * (p - 1) * s + tail) * float(((r / b) ** p).sum())
+        else:
+            k = (s * ((p - 1) * (p - 2) + 3 * p - 2) + tail) * float(r.sum())
+    return lambda Xa, Xb: k
 
 
-def _branch_and_bound(M, p, quantity, lower, upper, gap, qpad):
+# Parts into which a round of the 2-D search splits each open interval. A
+# round costs about 60 small numpy calls whatever its row count, and 16 parts
+# close a typical bracket in 3-4 rounds, where halving took about 9.
+_SPLITS = 16
+
+
+def _branch_and_bound(M, p, quantity, lower, upper, gap, qpad, m2):
     """Certified bracket for n = 2 over x = (cos t, sin t), t in [0, pi].
 
     Both quotients are even in x, so [0, pi] covers the circle. The search
-    starts from 64 equal intervals, so pi/2 is an end point, and halves
-    every open interval as one batch: a split costs one quotient. When the
-    evaluation cap leaves fewer splits than open intervals, the intervals
-    with the highest bounds are halved. An interval of halfwidth hw with
-    end values f(a), f(b) is bounded by the smaller of two bounds, each
-    plus the evaluation pad:
+    starts from 64 equal intervals, so pi/2 is an end point, and splits
+    every open interval into _SPLITS equal parts as one batch, each new end
+    point costing one quotient. Near the evaluation cap, once such a round
+    would take more than 1/8 of the evaluations left, it halves the open
+    intervals instead, and when the cap leaves fewer splits than open
+    intervals, the intervals with the highest bounds. An interval of
+    halfwidth hw with end values f(a), f(b) is bounded by the smaller of
+    two bounds, each plus the evaluation pad:
 
     * first order: with c = 2^(1/p - 1/2) <= |x|_p, ||D phi||_2 <= (p-1)/|x|_p,
-      |phi|_2 <= |phi|_q = 1 and |Mx|_p <= ||M||_2, f is Lipschitz in t with
-      L = ||M||_2 (1/c + 1/c^2) for the norm and ||M||_2 (p/c^2 + 1/c) for
-      the measure, so f <= (f(a) + f(b))/2 + L hw;
+      |phi|_2 <= |phi|_q = 1 and |Mx|_p <= ||M||_2 = m2, f is Lipschitz in t
+      with L = m2 (1/c + 1/c^2) for the norm and m2 (p/c^2 + 1/c) for the
+      measure, so f <= (f(a) + f(b))/2 + L hw;
     * second order (Breiman & Cutler 1993): with |F''| <= K on the interval,
       F <= max(F(a), F(b)) + K hw^2/2. For the measure F is the quotient
       itself; for the norm F = (f/b)^p, b the lower bound after the
@@ -289,7 +310,6 @@ def _branch_and_bound(M, p, quantity, lower, upper, gap, qpad):
     evaluation cap stops the search.
     """
     c = 2.0 ** (1.0 / p - 0.5)
-    m2 = float(_closed_norm_core(M, 2))
     lip = m2 * (1 / c + 1 / c**2) if quantity == "norm" else m2 * (p / c**2 + 1 / c)
     t = np.linspace(0.0, math.pi, 65)
     X = np.column_stack([np.cos(t), np.sin(t)])
@@ -297,13 +317,14 @@ def _branch_and_bound(M, p, quantity, lower, upper, gap, qpad):
     evals = t.size
     lower = max(lower, float(f.max()) - qpad)
     b = max(lower, _TINY)
+    curvature = _curvature(M, p, quantity, b)
     ta, tb, Xa, Xb, fa, fb = t[:-1], t[1:], X[:-1], X[1:], f[:-1], f[1:]
     ceiling = -math.inf
     while True:
         hw = (tb - ta) / 2
         peak = np.maximum(fa, fb) + qpad
         with np.errstate(over="ignore"):
-            K = _curvature(M, p, quantity, Xa, Xb, b)
+            K = curvature(Xa, Xb)
             if quantity == "norm":
                 second = b * ((peak / b) ** p + K * (hw * hw / 2)) ** (1 / p) + qpad
             else:
@@ -313,21 +334,30 @@ def _branch_and_bound(M, p, quantity, lower, upper, gap, qpad):
         ceiling = max(ceiling, float(bounds[~open_].max(initial=-math.inf)))
         ta, tb, Xa, Xb, fa, fb, bounds = (v[open_] for v in (ta, tb, Xa, Xb, fa, fb, bounds))
         top = max(ceiling, float(bounds.max(initial=-math.inf)))
-        k = min(ta.size, BRACKET_MAX_EVALS - evals)
+        left = BRACKET_MAX_EVALS - evals
+        k = min(ta.size, left)
         if k == 0 or min(top, upper) - lower <= gap:
             return lower, min(top, upper)
+        parts = _SPLITS if 8 * (_SPLITS - 1) * ta.size <= left else 2
         if k < ta.size:  # the cap leaves only k splits: take the highest bounds
             order = np.argsort(-bounds)
             ta, tb, Xa, Xb, fa, fb = (v[order] for v in (ta, tb, Xa, Xb, fa, fb))
-        tm = (ta[:k] + tb[:k]) / 2
-        Xm = np.column_stack([np.cos(tm), np.sin(tm)])
-        fm = _lp_quotients(M, p, Xm, quantity)
-        evals += k
+        # row i holds the inner end points of the parts of interval i
+        tm = ta[:k, None] + (tb[:k] - ta[:k])[:, None] * (np.arange(1, parts) / parts)
+        Xm = np.stack([np.cos(tm), np.sin(tm)], axis=-1)
+        fm = _lp_quotients(M, p, Xm.reshape(-1, 2), quantity).reshape(tm.shape)
+        evals += fm.size
         lower = max(lower, float(fm.max()) - qpad)
-        # left halves, the intervals left whole, right halves
-        ta, tb = np.concatenate([ta, tm]), np.concatenate([tm, tb[k:], tb[:k]])
-        Xa, Xb = np.concatenate([Xa, Xm]), np.concatenate([Xm, Xb[k:], Xb[:k]])
-        fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb[k:], fb[:k]])
+        (ta, tb), (Xa, Xb), (fa, fb) = (_parts(*v, k) for v in ((ta, tm, tb), (Xa, Xm, Xb), (fa, fm, fb)))
+
+
+def _parts(a, inner, b, k):
+    """Left and right end points of the parts that cut each of the first k
+    intervals [a, b] at the points in its row of inner, then of the other
+    intervals, left whole."""
+    ends = np.concatenate([a[:k, None], inner, b[:k, None]], axis=1)
+    shape = (-1, *a.shape[1:])
+    return np.concatenate([ends[:, :-1].reshape(shape), a[k:]]), np.concatenate([ends[:, 1:].reshape(shape), b[k:]])
 
 
 def _ascent(M, p, quantity, lower, upper, gap, qpad, seed) -> float:
@@ -393,7 +423,8 @@ def _lp_bracket(M: np.ndarray, p: float, quantity: str, seed) -> MeasureResult:
     qpad = pad if quantity == "norm" else (p + 1) * pad
     gap = BRACKET_GAP * scale
     with np.errstate(over="ignore", invalid="ignore"):
-        upper = _riesz_thorin(M, p, quantity)
+        m2 = float(_closed_norm_core(M, 2))
+        upper = _riesz_thorin(M, p, quantity, m2)
     if not math.isfinite(upper):
         raise ValueError(f"the Riesz-Thorin cap of this matrix is {upper}; the l_p bracket needs it finite")
     if quantity == "norm":
@@ -402,7 +433,7 @@ def _lp_bracket(M: np.ndarray, p: float, quantity: str, seed) -> MeasureResult:
         lower = float(M.diagonal().max())  # phi(e_j) = e_j exactly, giving m_jj
     if upper - lower > max(gap, 2 * qpad):
         if n == 2:
-            lower, upper = _branch_and_bound(M, p, quantity, lower, upper, gap, qpad)
+            lower, upper = _branch_and_bound(M, p, quantity, lower, upper, gap, qpad, m2)
         else:
             lower = _ascent(M, p, quantity, lower, upper, gap, qpad, seed)
     return MeasureResult(lower, "estimated", max(upper - lower, 0.0) + pad)

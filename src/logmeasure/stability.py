@@ -25,6 +25,8 @@ nonnegative diagonal D. The report decides it in this order:
    an A[S] with spectral abscissa above FALSIFY_THRESHOLD makes
    A - t 1_{S^c} unstable for large t, and the first rung of a geometric
    ladder of t that crosses gives D (S the whole block gives D = 0).
+   A block whose mu_1, mu_2 or mu_inf is below -FALSIFY_THRESHOLD has
+   no such A[S] and is not searched.
 5. Certificate search: an admissible measure with mu(A) < 0. It is
    skipped when some a_ii >= -ADMISSIBILITY_TOL, since every admissible
    measure has mu(A) >= max a_ii.
@@ -57,7 +59,14 @@ from .errors import (
     NotOrthantMonotonic,
     WrongDimension,
 )
-from .measures import _abscissa_many, _abscissa_stack, _rank_one_many, matrix_measure, spectral_abscissa
+from .measures import (
+    _abscissa_many,
+    _abscissa_stack,
+    _closed_mu_core,
+    _rank_one_many,
+    matrix_measure,
+    spectral_abscissa,
+)
 from .norms import Lp, Scaled, ValidatedNorm, validate_norm_spec
 
 ADMISSIBILITY_TOL = 1e-9
@@ -506,11 +515,22 @@ def _minor_destabilizers(B: np.ndarray):
     rounding noise costs one ladder and yields nothing, and so does every
     set when ||B||_inf overflows. At most FALSIFY_SPECTRA spectra are
     spent, ladders included.
+
+    A block whose mu_inf, mu_1 or mu_2 is below -FALSIFY_THRESHOLD yields
+    nothing and spends no spectrum: every B[S] has a measure at most the
+    block's (row and column sums only shrink on a submatrix, and Cauchy
+    interlacing bounds the symmetric part), and so is Hurwitz. Every
+    measure is at least max b_ii, so a block with max b_ii >=
+    -FALSIFY_THRESHOLD skips that check, and the sums go before eigvalsh.
     """
     m = B.shape[0]
     with np.errstate(over="ignore"):
         scale = 1.0 + float(np.abs(B).sum(axis=1).max())
     if not np.isfinite(scale):
+        return
+    if B.diagonal().max() < -FALSIFY_THRESHOLD and any(
+        _closed_mu_core(B, p) < -FALSIFY_THRESHOLD for p in (np.inf, 1, 2)
+    ):
         return
     spent = 0
 

@@ -387,25 +387,25 @@ def test_lp_bracket_is_tight_in_2d_for_moderate_p():
             assert fn(A, norm).error_bound <= 1e-5
 
 
-def _count_quotient_rows(monkeypatch) -> list:
-    """Patch the bracket's quotient evaluator to add the rows of each call
-    to the last entry of the returned list."""
-    rows = [0]
+def _record_quotient_calls(monkeypatch) -> list:
+    """Patch the bracket's quotient evaluator to append the rows of each
+    call to the returned list."""
+    calls = []
     quotients = measures._lp_quotients
 
     def counted(M, p, X, quantity):
-        rows[-1] += X.shape[0]
+        calls.append(X.shape[0])
         return quotients(M, p, X, quantity)
 
     monkeypatch.setattr(measures, "_lp_quotients", counted)
-    return rows
+    return calls
 
 
 @pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0, 50.0])
 def test_lp_bracket_holds_the_swept_value_for_many_matrices(p, monkeypatch):
     # containment and the caps, and a width of at most BRACKET_GAP times
     # sum |M_ij| plus the pad unless the evaluation cap stopped the search
-    rows = _count_quotient_rows(monkeypatch)
+    calls = _record_quotient_calls(monkeypatch)
     rng = np.random.default_rng(int(p * 10) + 7)
     for scaled in (False, True):
         for _ in range(50):
@@ -417,13 +417,13 @@ def test_lp_bracket_holds_the_swept_value_for_many_matrices(p, monkeypatch):
             tol = 1e-9 * scale
             width = (measures.BRACKET_GAP + 40 * np.finfo(float).eps) * scale + tol
             for measure, fn in ((True, matrix_measure), (False, induced_matrix_norm)):
-                rows[-1] = 0
+                calls.clear()
                 r = fn(A, norm)
                 lo, hi = _bracket(r)
                 swept = _swept_quantity(M, p, measure)
                 assert lo <= swept + tol and swept <= hi, (p, scaled, measure, A, T, lo, swept, hi)
                 assert hi <= _riesz_thorin_caps(M, p, measure) + tol
-                assert r.error_bound <= width or rows[-1] >= measures.BRACKET_MAX_EVALS, (p, A, T, r)
+                assert r.error_bound <= width or sum(calls) >= measures.BRACKET_MAX_EVALS, (p, A, T, r)
 
 
 def _second_difference(M: np.ndarray, p: float, measure: bool, t: np.ndarray, h: float) -> np.ndarray:
@@ -459,7 +459,7 @@ def test_curvature_bound_holds_on_every_interval(p):
                 T = np.eye(2) + 0.5 * rng.standard_normal((2, 2))
                 M = T @ M @ np.linalg.inv(T)
             for measure in (True, False):
-                K = measures._curvature(M, p, "measure" if measure else "norm", X[:-1], X[1:], 1.0)
+                K = measures._curvature(M, p, "measure" if measure else "norm", 1.0)(X[:-1], X[1:])
                 d2 = _second_difference(M, p, measure, inner.ravel(), h).reshape(inner.shape).max(axis=1)
                 assert (K >= d2).all(), (p, measure, M, np.flatnonzero(K < d2))
                 if measure and p < 3:
@@ -472,16 +472,30 @@ def test_curvature_bound_holds_on_every_interval(p):
 
 
 def test_lp_bracket_work_is_bounded_in_2d(monkeypatch):
-    # a count of quotient rows, not a timing: each bracket of this matrix
-    # took 9,124-14,246 rows under a first-order bound alone
-    rows = _count_quotient_rows(monkeypatch)
+    # counts of quotient rows and calls, not a timing: each bracket of this
+    # matrix took 9,124-14,246 rows under a first-order bound alone, and
+    # 8-10 calls when each round halved the open intervals
+    calls = _record_quotient_calls(monkeypatch)
     A = np.array([[0.3, -1.2], [0.7, 0.1]])
     for p in (1.5, 3.0, 4.0):
         norm = validate_norm_spec(Lp(p), dim=2)
         for fn in (matrix_measure, induced_matrix_norm):
-            rows[-1] = 0
+            calls.clear()
             assert fn(A, norm).error_bound <= 1e-5
-            assert 0 < rows[-1] <= 1000, (p, fn.__name__, rows[-1])
+            assert 0 < sum(calls) <= 1000, (p, fn.__name__, calls)
+            assert len(calls) <= 4, (p, fn.__name__, calls)
+
+
+def test_capped_lp_brackets_are_no_wider_than_under_halving(monkeypatch):
+    # the measures of this matrix at p = 1.001 and 1e6 reach
+    # BRACKET_MAX_EVALS; their widths when every round halved the open
+    # intervals bound them, so the rows spent on wide splits are not lost
+    calls = _record_quotient_calls(monkeypatch)
+    A = np.array([[0.3, -1.2], [0.7, 0.1]])
+    for p, width in ((1.001, 2.8566453626144295e-05), (1e6, 2.2803400534243679e-04)):
+        calls.clear()
+        assert matrix_measure(A, validate_norm_spec(Lp(p), dim=2)).error_bound <= width, p
+        assert sum(calls) == measures.BRACKET_MAX_EVALS, (p, sum(calls))
 
 
 def test_lp_bracket_never_exceeds_the_interpolation_caps():

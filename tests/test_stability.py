@@ -378,13 +378,15 @@ def test_unstable_matrix_with_no_negative_minor_gets_d_zero(monkeypatch):
     assert rep.counterexample.abscissa == pytest.approx(0.5, abs=1e-12)
 
 
-def test_falsifier_spends_at_most_its_spectra_on_a_block(monkeypatch):
-    # diagonally dominant, so every principal submatrix is stable and the
-    # greedy chains run until the cap stops them
+def _diagonally_dominant_block() -> np.ndarray:
     rng = np.random.default_rng(48)
     A = rng.uniform(-1.0, 1.0, (48, 48))
     np.fill_diagonal(A, 0.0)
-    A -= (np.abs(A).sum(axis=1).max() + 1.0) * np.eye(48)
+    return A - (np.abs(A).sum(axis=1).max() + 1.0) * np.eye(48)
+
+
+def _count_spectra(monkeypatch) -> list:
+    """Patch np.linalg.eigvals to append the number of matrices of each call."""
     spectra = []
     eigvals = np.linalg.eigvals
 
@@ -393,8 +395,26 @@ def test_falsifier_spends_at_most_its_spectra_on_a_block(monkeypatch):
         return eigvals(M)
 
     monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return spectra
+
+
+def test_falsifier_spends_at_most_its_spectra_on_a_block(monkeypatch):
+    # similar to a diagonally dominant block, principal submatrices
+    # included, so every one is stable, but with mu_1, mu_2 and mu_inf
+    # positive: the greedy chains run until the cap stops them
+    s = np.logspace(-3.0, 3.0, 48)
+    A = s[:, None] * _diagonally_dominant_block() / s
+    assert min(matrix_measure(A, validate_norm_spec(Lp(p), dim=48)).value for p in (1, 2, np.inf)) > 0
+    spectra = _count_spectra(monkeypatch)
     assert falsify_additive_d_stability(A) is None
     assert stability.FALSIFY_SPECTRA - 48 < sum(spectra) <= stability.FALSIFY_SPECTRA
+
+
+def test_falsifier_skips_a_block_its_measures_prove_stable(monkeypatch):
+    # mu_inf < 0 bounds the abscissa of every principal submatrix
+    spectra = _count_spectra(monkeypatch)
+    assert falsify_additive_d_stability(_diagonally_dominant_block()) is None
+    assert spectra == []
 
 
 def test_reducible_matrices_are_decided_by_their_blocks():
