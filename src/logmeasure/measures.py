@@ -36,12 +36,12 @@ In two dimensions a branch-and-bound over the angle t of x = (cos t, sin t)
 closes the bracket to ``BRACKET_GAP`` times sum |M_ij|, unless
 ``BRACKET_MAX_EVALS`` stops it first. It splits each open interval of an
 end-point grid of [0, pi], which starts at 64 intervals, into 16 equal
-parts per round (near the cap it halves the highest-bound ones instead),
-and bounds each by the smaller of a first-order bound, from a Lipschitz
-constant of the quotient in t, and a second-order one (Breiman & Cutler
-1993), from a bound K on the second derivative in t of |Mx|_p^p / |x|_p^p
-or of phi(x).Mx / |x|_p, which the row norms of M and
-|x|_p^p >= 2^(1 - p/2) give. Only the first-order bound applies where K
+parts per round while at most 24 are open (with more open it halves them,
+the highest-bound ones first near the cap), and bounds each by the smaller
+of a first-order bound, from a Lipschitz constant of the quotient in t, and
+a second-order one (Breiman & Cutler 1993), from a bound K on the second
+derivative in t of |Mx|_p^p / |x|_p^p or of phi(x).Mx / |x|_p, which the
+row norms of M and |x|_p^p >= 2^(1 - p/2) give. Only the first-order bound applies where K
 overflows (very large p) and, for the measure at 2 < p < 3, on an interval
 that reaches an axis. In any other dimension the lower bound comes from a
 stacked ascent and the bracket can be wide.
@@ -271,10 +271,16 @@ def _curvature(M, p, quantity, b):
     return lambda Xa, Xb: k
 
 
-# Parts into which a round of the 2-D search splits each open interval. A
-# round costs about 60 small numpy calls whatever its row count, and 16 parts
-# close a typical bracket in 3-4 rounds, where halving took about 9.
+# Parts into which a round of the 2-D search splits each open interval while
+# at most _WIDE_OPEN are open. A round costs about 60 small numpy calls
+# whatever its row count, and 16 parts close a typical bracket in 3-4 rounds,
+# where halving took about 9. With more open, a wide round spends rows that
+# halving keeps for later, and a search stopped by the cap ends wider: up to
+# 19% wider than under halving when rounds split 16 ways until one would
+# take 1/8 of the rows left. With at most 24 open, none of 3,960 random
+# brackets that reach the cap is wider than under halving.
 _SPLITS = 16
+_WIDE_OPEN = 24
 
 
 def _branch_and_bound(M, p, quantity, lower, upper, gap, qpad, m2):
@@ -283,12 +289,12 @@ def _branch_and_bound(M, p, quantity, lower, upper, gap, qpad, m2):
     Both quotients are even in x, so [0, pi] covers the circle. The search
     starts from 64 equal intervals, so pi/2 is an end point, and splits
     every open interval into _SPLITS equal parts as one batch, each new end
-    point costing one quotient. Near the evaluation cap, once such a round
-    would take more than 1/8 of the evaluations left, it halves the open
-    intervals instead, and when the cap leaves fewer splits than open
-    intervals, the intervals with the highest bounds. An interval of
-    halfwidth hw with end values f(a), f(b) is bounded by the smaller of
-    two bounds, each plus the evaluation pad:
+    point costing one quotient, while at most _WIDE_OPEN intervals are open
+    and the evaluation cap leaves room. Otherwise it halves the open
+    intervals, and when the cap leaves fewer splits than open intervals,
+    the intervals with the highest bounds. An interval of halfwidth hw with
+    end values f(a), f(b) is bounded by the smaller of two bounds, each
+    plus the evaluation pad:
 
     * first order: with c = 2^(1/p - 1/2) <= |x|_p, ||D phi||_2 <= (p-1)/|x|_p,
       |phi|_2 <= |phi|_q = 1 and |Mx|_p <= ||M||_2 = m2, f is Lipschitz in t
@@ -338,7 +344,7 @@ def _branch_and_bound(M, p, quantity, lower, upper, gap, qpad, m2):
         k = min(ta.size, left)
         if k == 0 or min(top, upper) - lower <= gap:
             return lower, min(top, upper)
-        parts = _SPLITS if 8 * (_SPLITS - 1) * ta.size <= left else 2
+        parts = _SPLITS if ta.size <= _WIDE_OPEN and (_SPLITS - 1) * ta.size <= left else 2
         if k < ta.size:  # the cap leaves only k splits: take the highest bounds
             order = np.argsort(-bounds)
             ta, tb, Xa, Xb, fa, fb = (v[order] for v in (ta, tb, Xa, Xb, fa, fb))
