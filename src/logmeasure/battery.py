@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import Verdict, is_absolute, is_orthant_monotonic
-from .common import DEFAULT_SEED, as_rng
 from .norms import Lp, PiecewiseOrthant, Polyhedral, Scaled, ValidatedNorm, validate_norm_spec
 from .stability import AdmissibilityVerdict, is_admissible_measure
 
@@ -101,10 +100,7 @@ class BatteryReport:
         return {"rows": [r.to_jsonable() for r in self.rows], "all_agree": self.all_agree}
 
 
-def equivalence_table(
-    *,
-    seed: int | np.random.Generator | None = DEFAULT_SEED,
-) -> BatteryReport:
+def equivalence_table() -> BatteryReport:
     """Classify every battery member and cross-check measure admissibility.
 
     Expected pattern: every member orthant-monotonic and admissible except
@@ -112,15 +108,8 @@ def equivalence_table(
     hexagon. Any mismatch between the two columns raises from the
     admissibility checker before this table returns.
     """
-    rng = as_rng(seed)
-    rows = []
-    for name, norm in builtin_battery():
-        rows.append(
-            BatteryRow(
-                name,
-                is_absolute(norm, seed=rng),
-                is_orthant_monotonic(norm, seed=rng),
-                is_admissible_measure(norm, seed=rng),
-            )
-        )
+    rows = [
+        BatteryRow(name, is_absolute(norm), is_orthant_monotonic(norm), is_admissible_measure(norm))
+        for name, norm in builtin_battery()
+    ]
     return BatteryReport(rows)

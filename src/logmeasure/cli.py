@@ -388,7 +388,7 @@ def _cmd_battery(doc: dict, seed: int):
     # the battery's checks are exact and take no budget; the field is
     # still range-checked, so documents that carry it keep their exit codes
     _integer(doc, "budget", 200, _MAX_BUDGET)
-    report = equivalence_table(seed=seed)
+    report = equivalence_table()
     code = EX_OK if report.all_agree else EX_INTERNAL
     return report, code
 

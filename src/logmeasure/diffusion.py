@@ -170,7 +170,12 @@ def simulate(A, D, x0, z0, horizon: float, dt: float) -> Trajectory:
     if dt > horizon:
         raise StepTooLarge("dt exceeds the horizon")
     B = system.block
-    bnorm = float(np.abs(B).sum(axis=1).max())
+    with np.errstate(over="ignore"):
+        bnorm = float(np.abs(B).sum(axis=1).max())
+    if not math.isfinite(bnorm):
+        raise StepTooLarge(
+            "the coupled block's infinity-norm overflows; the step check dt * ||block||_inf <= 0.1 needs it finite"
+        )
     if dt * bnorm > STEP_NORM_BOUND + 1e-12:
         limit = STEP_NORM_BOUND / bnorm if bnorm > 0 else np.inf
         raise StepTooLarge(f"dt * ||block||_inf = {dt * bnorm:.3g} > 0.1; need dt <= {limit:.3g}")

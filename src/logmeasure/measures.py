@@ -445,41 +445,25 @@ def _lp_bracket(M: np.ndarray, p: float, quantity: str, seed) -> MeasureResult:
     return MeasureResult(lower, "estimated", max(upper - lower, 0.0) + pad)
 
 
-def estimate_induced_norm(
-    A,
-    norm: ValidatedNorm,
-    *,
-    seed: int | np.random.Generator | None = None,
-) -> MeasureResult:
-    """Certified estimate of ||A|| for a norm with an l_p core, 1 < p < inf.
-
-    The bracket of the module doc: value is a lower bound attained at a
-    concrete vector and value + error_bound an upper bound. Any other norm
-    raises NoExactPath; the ones with an exact route take
-    induced_matrix_norm.
-    """
-    A = _bind_matrix(A, norm)
-    if norm.route != "estimated":
-        raise NoExactPath(
-            f"no certified estimate under this {norm.kind} norm: estimates cover l_p cores, 1 < p < inf"
-        )
-    return _lp_bracket(_core_frame(A, norm), norm.core_p, "norm", seed)
-
-
 def induced_matrix_norm(
     A,
     norm: ValidatedNorm,
     *,
     seed: int | np.random.Generator | None = None,
 ) -> MeasureResult:
-    """Operator norm of A induced by the vector norm: max_{|x|=1} |A x|."""
+    """Operator norm of A induced by the vector norm: max_{|x|=1} |A x|.
+
+    Exact on the closed and polyhedral routes. A norm with an l_p core,
+    1 < p < inf, gets the bracket of the module doc: value is a lower bound
+    attained at a concrete vector and value + error_bound an upper bound.
+    """
     A = _bind_matrix(A, norm)
     route = norm.route
     if route in _CLOSED_METHODS:
         return MeasureResult(float(_closed_norm_many(A, norm)), _CLOSED_METHODS[route])
     if route == "polyhedral":
         return MeasureResult(norm._polytope.induced_norm(A), "exact_polyhedral")
-    return estimate_induced_norm(A, norm, seed=seed)
+    return _lp_bracket(_core_frame(A, norm), norm.core_p, "norm", seed)
 
 
 def matrix_measure(
@@ -496,24 +480,6 @@ def matrix_measure(
     if route == "polyhedral":
         return MeasureResult(norm._polytope.measure(A), "exact_polyhedral")
     return _lp_bracket(_core_frame(A, norm), norm.core_p, "measure", seed)
-
-
-def measure_quotient(A, norm: ValidatedNorm, h: float, *, seed=None) -> float:
-    """One-sided difference quotient (||I + h A|| - 1)/h at a given h > 0.
-
-    Nonincreasing as h decreases; upper-bounds the matrix measure, up to
-    the rounding of the subtraction. Only exact routes qualify: on an
-    estimated norm the value of ||I + h A|| is a lower bound, which gives
-    no upper bound on the measure, so those norms raise NoExactPath.
-    """
-    if not (h > 0):
-        raise ValueError(f"h must be positive, got {h}")
-    if norm.route == "estimated":
-        raise NoExactPath("the difference quotient requires an exact norm route")
-    A = _bind_matrix(A, norm)
-    eye = np.eye(A.shape[0])
-    nr = induced_matrix_norm(eye + h * A, norm, seed=seed)
-    return (nr.value - 1.0) / h
 
 
 def _abscissa_stack(M: np.ndarray) -> np.ndarray:

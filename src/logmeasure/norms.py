@@ -459,11 +459,6 @@ class ValidatedNorm:
         return f"ValidatedNorm(kind={self.kind!r}, dim={self.dim}, route={self.route!r})"
 
 
-def eval_norm(x, norm: ValidatedNorm) -> float:
-    """Evaluate the norm at a vector. Exact for every supported family."""
-    return norm(x)
-
-
 def unit_ball_vertices(norm: ValidatedNorm) -> np.ndarray:
     """Extreme points of the unit ball as a (m, n) array.
 

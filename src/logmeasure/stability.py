@@ -140,10 +140,13 @@ def is_admissible_measure(
     Each trace entry is exact and checks_run counts the mu(-E_j) read, up
     to the first violation. When not admissible, counterexample_D is the
     first E_j with mu(-E_j) > 0.
+
+    No path reads `seed`: the classifier samples only scaled generic l_p
+    norms, which are refused here first. It stays because callers pass one.
     """
     if norm.route == "estimated" and norm.kind != "lp":
         raise NoExactPath("admissibility cross-checks need an exact measure path")
-    om = is_orthant_monotonic(norm, seed=seed)
+    om = is_orthant_monotonic(norm)
     trace: dict[str, Verdict] = {"orthant_monotonic": om}
     numeric_names = ("negated_diagonal_measure", "diagonal_measure_identity", "uniform_margin")
 
@@ -187,12 +190,7 @@ def _diag_measures(norm: ValidatedNorm) -> np.ndarray:
     return _rank_one_many(norm, "ray")
 
 
-def measure_of_diagonal(
-    norm: ValidatedNorm,
-    D,
-    *,
-    seed: int | np.random.Generator | None = DEFAULT_SEED,
-) -> float:
+def measure_of_diagonal(norm: ValidatedNorm, D) -> float:
     """mu(D) for diagonal D (entries of either sign).
 
     Under an admissible measure this equals max_i d_ii, and mu(-D) equals
@@ -202,7 +200,7 @@ def measure_of_diagonal(
     """
     d = diag_entries(D, norm.dim)
     value = matrix_measure(np.diag(d), norm).value
-    verdict = is_admissible_measure(norm, seed=seed)
+    verdict = is_admissible_measure(norm)
     if not verdict.admissible:
         warnings.warn(
             "measure is not admissible; diagonal identities are not guaranteed",
@@ -373,7 +371,7 @@ def certify_additive_d_stability(
     for norm in members:
         if norm.route == "estimated":
             raise NoExactPath("certificate family members need an exact measure path")
-        if not is_admissible_measure(norm, seed=rng).admissible:
+        if not is_admissible_measure(norm).admissible:
             skipped += 1
             continue
         mu = matrix_measure(A, norm).value
@@ -432,32 +430,40 @@ def falsify_on_grid(
     return None
 
 
-def _destabilizer_2x2(A: np.ndarray) -> tuple[np.ndarray | None, str | None]:
+def _destabilizer_2x2(A: np.ndarray) -> tuple[Counterexample | None, str | None]:
     """Constructive counterexample for a 2x2 matrix failing the exact test,
-    or None with a note when no float D gives a positive abscissa."""
+    kept only when its floating-point abscissa exceeds FALSIFY_THRESHOLD,
+    or None with a note saying why there is none."""
     s0 = spectral_abscissa(A)
     if s0 > FALSIFY_THRESHOLD:
-        return np.zeros((2, 2)), None
+        return Counterexample(np.zeros((2, 2)), s0), None
     det = _det_2x2(A)
+    note = (
+        "marginal case: A is not Hurwitz at D=0, but no nonnegative diagonal "
+        "shift produces a strictly positive abscissa"
+    )
     for i in (0, 1):
         if A[i, i] > 0:
             # det(A - t e_j e_j^T) = det(A) - t a_ii, j != i, goes negative
             # along the ray; t is used only where a_jj - t stays far from
             # overflow
             t = 2 * max(1, det / Fraction(A[i, i]))
-            if t + abs(Fraction(A[1 - i, 1 - i])) <= _MAX_SHIFT:
-                D = np.zeros((2, 2))
-                D[1 - i, 1 - i] = float(t)
-                return D, None
-    if A[0, 0] > 0 or A[1, 1] > 0:
-        return None, (
-            "a positive diagonal entry makes A unstable once the other diagonal "
-            "entry is shifted far enough, but that shift overflows floating point"
-        )
-    return None, (
-        "marginal case: A is not Hurwitz at D=0, but no nonnegative diagonal "
-        "shift produces a strictly positive abscissa"
-    )
+            if t + abs(Fraction(A[1 - i, 1 - i])) > _MAX_SHIFT:
+                note = (
+                    "a positive diagonal entry makes A unstable once the other diagonal "
+                    "entry is shifted far enough, but that shift overflows floating point"
+                )
+                continue
+            D = np.zeros((2, 2))
+            D[1 - i, 1 - i] = float(t)
+            s = spectral_abscissa(A - D)
+            if s > FALSIFY_THRESHOLD:
+                return Counterexample(D, s), None
+            note = (
+                f"D[{1 - i}][{1 - i}] = {float(t):.3g} makes A - D unstable in exact arithmetic, but "
+                f"its floating-point spectral abscissa is {s:.3g}, so no counterexample is reported"
+            )
+    return None, note
 
 
 def _irreducible_blocks(A: np.ndarray) -> list[np.ndarray]:
@@ -638,8 +644,7 @@ def additive_d_stability_report(
                     "admissible-measure certificate can exist for this matrix"
                 )
             return DStabilityReport("stable", "exact_2x2", note=note)
-        D, note = _destabilizer_2x2(A)
-        found = None if D is None else Counterexample(D, spectral_abscissa(A - D))
+        found, note = _destabilizer_2x2(A)
         return DStabilityReport("unstable", "exact_2x2", counterexample=found, note=note)
 
     off = A[~np.eye(n, dtype=bool)]

@@ -9,7 +9,6 @@ from logmeasure import (
     Scaled,
     builtin_battery,
     diag_norm_identity_check,
-    eval_norm,
     induced_matrix_norm,
     is_absolute,
     is_orthant_monotonic,
@@ -45,13 +44,13 @@ def _check_absolute_witness(norm, witness: np.ndarray) -> None:
         assert set(np.unique(np.abs(witness))) <= {0.0, 1.0}
         assert abs(induced_matrix_norm(witness, norm).value - 1.0) > TOL
     else:
-        assert abs(eval_norm(np.abs(witness), norm) - eval_norm(witness, norm)) > TOL
+        assert abs(norm(np.abs(witness)) - norm(witness)) > TOL
 
 
 def _check_om_witness(norm, witness: np.ndarray) -> None:
-    base = eval_norm(witness, norm)
+    base = norm(witness)
     worst = max(
-        eval_norm(_zero_coordinate(witness, j), norm) for j in range(witness.size)
+        norm(_zero_coordinate(witness, j)) for j in range(witness.size)
     )
     assert worst > base + TOL
 
@@ -84,8 +83,8 @@ def test_hexagon_witness_is_the_mixed_sign_corner():
     hexagon = dict(builtin_battery())["hexagon"]
     v = is_absolute(hexagon)
     assert np.array_equal(v.witness, np.array([1.0, -1.0]))
-    assert eval_norm([1.0, -1.0], hexagon) == 2.0
-    assert eval_norm([1.0, 1.0], hexagon) == 1.0
+    assert hexagon([1.0, -1.0]) == 2.0
+    assert hexagon([1.0, 1.0]) == 1.0
 
 
 def test_sheared_witnesses_frozen():
@@ -94,7 +93,7 @@ def test_sheared_witnesses_frozen():
     assert np.array_equal(va.witness, np.diag([1.0, -1.0]))
     vo = is_orthant_monotonic(sheared)
     assert np.array_equal(vo.witness, np.array([5.0, -2.0]))
-    assert eval_norm([5.0, -2.0], sheared) == pytest.approx(1.0, abs=TOL)
+    assert sheared([5.0, -2.0]) == pytest.approx(1.0, abs=TOL)
 
 
 def test_sampled_route_passes_are_inexact():

@@ -354,7 +354,7 @@ def test_integer_fields_refuse_non_integers_and_oversized_budgets(capsys, tmp_pa
     assert code == 0 and json.loads(out)["value"] == -1.0
     # battery range-checks "budget" but no longer passes it on: the checks are exact
     assert _run(capsys, "battery", "--in", _write_doc(tmp_path, {"budget": 10_000.0}))[0] == 0
-    assert started == [{"seed": logmeasure.DEFAULT_SEED}]
+    assert started == [{}]
 
     doc = {"matrix": matrix, "budget": 4, "falsify_budget": 100_000.0}
     assert _run(capsys, "dstable", "--in", _write_doc(tmp_path, doc))[0] == 0
@@ -499,6 +499,13 @@ HUGE_INPUTS = {
         "kind": "polyhedral", "vertices": [[1e300], [-1e300]]}}}, 65),
     "scaled_polytope_1e-9": ("classify", {"norm": {"kind": "scaled", "T": [[-1e-9]], "inner": {
         "kind": "polyhedral", "vertices": [[1e300], [-1e300]]}}}, 65),
+    # the block's row sums overflow: a RuntimeWarning, then "need dt <= 0"
+    "diffusion_block_norm_overflow": ("diffusion", {
+        "matrix": [[-1, 1e308, 1e308], [-3, 1e-9, 1], [-1, -3, 1e-300]], "D": [1e150, 1e150, 3],
+        "x0": [2, 2, 1], "z0": [-3, -1e150, -1e-9], "horizon": 1, "dt": 0.01}, 65),
+    # the sampled classifiers' T x overflows: two RuntimeWarnings, same verdicts
+    "scaled_lp3_sampled_overflow": ("classify", {"norm": {"kind": "scaled", "T": [[1e308, 1e308], [-1e300, 1e150]],
+                                                          "inner": {"kind": "lp", "p": 3}}, "dim": 2}, 0),
     # sqrt(2) |x0 - z0|_inf = 1.41e308 is just under MAX_INITIAL_STATE
     "diffusion_near_bound": ("diffusion", {"matrix": [[1, -3], [1, -2]], "D": [1, 1], "x0": [5e307, 0],
                                            "z0": [-5e307, 1], "horizon": 1, "dt": 0.01}, 0),

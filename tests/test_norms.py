@@ -25,7 +25,6 @@ from logmeasure import (
     SingularScaling,
     UnsupportedDimension,
     ValidationError,
-    eval_norm,
     hexagon_spec,
     induced_matrix_norm,
     matrix_measure,
@@ -304,8 +303,8 @@ def test_piecewise_all_l1_and_all_linf_pieces_give_the_closed_forms():
 
 def test_hexagon_values_and_vertices():
     norm = validate_norm_spec(hexagon_spec(), dim=2)
-    assert eval_norm([1.0, -1.0], norm) == 2.0
-    assert eval_norm([1.0, 1.0], norm) == 1.0
+    assert norm([1.0, -1.0]) == 2.0
+    assert norm([1.0, 1.0]) == 1.0
     got = {tuple(v) for v in np.round(unit_ball_vertices(norm), 9)}
     expected = {(0.0, 1.0), (1.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, -1.0), (-1.0, 0.0)}
     assert got == expected
@@ -313,15 +312,15 @@ def test_hexagon_values_and_vertices():
 
 def test_parallelogram_gauge_values():
     norm = validate_norm_spec(parallelogram_spec(), dim=2)
-    assert eval_norm([2.0, 2.0], norm) == pytest.approx(1.0, abs=1e-12)
-    assert eval_norm([2.0, 0.0], norm) == pytest.approx(1.5, abs=1e-12)
-    assert eval_norm([1.0, -1.0], norm) == pytest.approx(1.0, abs=1e-12)
+    assert norm([2.0, 2.0]) == pytest.approx(1.0, abs=1e-12)
+    assert norm([2.0, 0.0]) == pytest.approx(1.5, abs=1e-12)
+    assert norm([1.0, -1.0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sheared_linf_values():
     norm = validate_norm_spec(sheared_linf_spec(), dim=2)
-    assert eval_norm([2.0, -1.0], norm) == 1.0
-    assert eval_norm([2.0, 0.0], norm) == 2.0
+    assert norm([2.0, -1.0]) == 1.0
+    assert norm([2.0, 0.0]) == 2.0
     V = unit_ball_vertices(norm)
     got = {tuple(v) for v in np.round(V, 9)}
     assert got == {(1.0, 0.0), (-1.0, 0.0), (5.0, -2.0), (-5.0, 2.0)}
@@ -332,7 +331,7 @@ def test_gauge_matches_lp_oracle_2d():
     V = unit_ball_vertices(norm)
     for _ in range(60):
         x = RNG.standard_normal(2) * 3.0
-        assert eval_norm(x, norm) == pytest.approx(lp_gauge_oracle(V, x), abs=1e-8)
+        assert norm(x) == pytest.approx(lp_gauge_oracle(V, x), abs=1e-8)
 
 
 def test_gauge_matches_lp_oracle_3d():
@@ -342,7 +341,7 @@ def test_gauge_matches_lp_oracle_3d():
     V = unit_ball_vertices(norm)
     for _ in range(40):
         x = RNG.standard_normal(3)
-        assert eval_norm(x, norm) == pytest.approx(lp_gauge_oracle(V, x), abs=1e-8)
+        assert norm(x) == pytest.approx(lp_gauge_oracle(V, x), abs=1e-8)
 
 
 def test_lp_ball_vertices():
@@ -369,7 +368,7 @@ def test_scaled_linf_vertices_beyond_the_cap_name_the_cap():
 def test_eval_rejects_wrong_length():
     norm = validate_norm_spec(Lp(1.0), dim=2)
     with pytest.raises(DimensionMismatch):
-        eval_norm([1.0, 2.0, 3.0], norm)
+        norm([1.0, 2.0, 3.0])
 
 
 # ---------------------------------------------------------------- norm axioms

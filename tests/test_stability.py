@@ -250,6 +250,12 @@ def test_2x2_destabilizer_shift_is_finite_or_named():
         assert rep.verdict == "unstable" and rep.note is None
         assert np.array_equal(rep.counterexample.D, np.diag([0.0, 4.0]))
         assert rep.counterexample.abscissa > 0.0
+        # D = diag(0, 2e15) destabilizes in exact arithmetic, but the
+        # positive eigenvalue, about 5e-4, is lost beside -2e15 in floats:
+        # a D whose printed abscissa is 0 would prove nothing
+        rep = additive_d_stability_report(np.array([[1e-3, 1e6], [-1e6, -1.0]]), seed=0)
+        assert rep.verdict == "unstable" and rep.counterexample is None
+        assert "floating-point spectral abscissa is 0" in rep.note
         # here the shift would have to exceed det / a_11 = 1e900
         rep = additive_d_stability_report(np.array([[1e-300, 1e300], [-1e300, -1.0]]), seed=0)
     assert rep.verdict == "unstable" and "overflows" in rep.note
